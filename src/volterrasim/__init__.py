@@ -9,8 +9,8 @@ Submodules:
 - evolution: mild solutions of linear evolution equations, covariance
   operators, stationarity criteria.
 - diagnostics: energy two-sample tests and related statistics.
-- hypergeom / criteria: special functions and the worked examples
-  (shift-semigroup threshold, heat equation admissibility).
+- criteria: the worked examples (shift-semigroup threshold, heat
+  equation admissibility).
 - cli: the `volterrasim` command-line tool.
 """
 

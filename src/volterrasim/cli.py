@@ -184,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="initial condition for the stationarity suite")
     ver.add_argument("--out", default=None, help="report directory")
     ver.add_argument("--force", action="store_true")
-    ver.add_argument("--workers", type=int, default=1)
     ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -3,8 +3,8 @@
 For the left-shift semigroup with symbol phi(xi) = (1 + xi)^(-beta) the
 trace of the solution covariance stays bounded iff the triple integral
 J(beta, H) is finite, which happens exactly for beta > H + 1/2.  J is
-evaluated two independent ways: a closed-form reduction through the
-Gauss hypergeometric function, and direct nested quadrature with
+evaluated two independent ways: a closed form through Gauss's sum of
+2F1 at z = 1 (scipy.special.hyp2f1), and direct nested quadrature with
 explicit truncation.  The stochastic heat equation on the unit box is
 admissible iff d < 4H; the Hilbert-Schmidt decay exponent -d/2 of the
 heat semigroup is checked against the explicit eigenvalue sums.
@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .errors import QuadratureError
-from .hypergeom import gauss_2f1, log_gamma, near_one_asymptotic
 
 DIVERGENT = math.inf
 
@@ -61,52 +60,24 @@ class HeatExample:
 def j_closed_form(beta: float, H: float) -> float:
     """J(beta, H); returns inf when beta <= H + 1/2 (divergent).
 
-    J factors as 2 G(2H) G(2b-2H) / G(2b) times int_1^inf xi^(2H-2b)
-    times int_0^1 z^(2H-2) 2F1(b, 2H; 2b; z) dz.  The xi factor is
-    1/(2b - 2H - 1), finite iff beta > H + 1/2; the z integral is split
-    at 1 - delta with the endpoint tail summed from the z -> 1
-    asymptotics of 2F1.
+    J factors as 2 B(2H, 2b-2H) times int_1^inf xi^(2H-2b) times
+    int_0^1 z^(2H-2) 2F1(b, 2H; 2b; z) dz.  The xi factor is
+    1/(2b - 2H - 1), finite iff beta > H + 1/2.  The 2F1 series has
+    positive terms, so it integrates term by term; with
+    (2H)_k / (2H - 1 + k) = (2H - 1)_k / (2H - 1) the z integral is
+    2F1(b, 2H - 1; 2b; 1) / (2H - 1), a Gauss sum since
+    c - a - b = b - 2H + 1 > 1/2.
     """
     if beta <= H:
         raise ValueError(
             "closed form requires beta > H; use j_quadrature below that")
     if beta <= H + 0.5:
         return DIVERGENT
-    pref = 2.0 * math.exp(
-        log_gamma(2.0 * H) + log_gamma(2.0 * beta - 2.0 * H)
-        - log_gamma(2.0 * beta))
+    pref = 2.0 * special.beta(2.0 * H, 2.0 * beta - 2.0 * H)
     xi_factor = 1.0 / (2.0 * beta - 2.0 * H - 1.0)
-    return pref * xi_factor * _z_integral(beta, H)
-
-
-def _z_integral(beta: float, H: float, delta: float = 1e-6) -> float:
-    """int_0^1 z^(2H-2) 2F1(beta, 2H; 2beta; z) dz."""
-    a, b, c = beta, 2.0 * H, 2.0 * beta
-
-    def f(z):
-        return z ** (2.0 * H - 2.0) * gauss_2f1(a, b, c, z)
-
-    import warnings
-
-    with warnings.catch_warnings():
-        # the steep (but integrable) rise at both endpoints trips the
-        # roundoff heuristic long after the value has converged
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = integrate.quad(f, 0.0, 1.0 - delta, limit=300,
-                                 points=[0.5, 1.0 - 10.0 * delta])
-    # tail from the endpoint asymptotics; z^(2H-2) ~ 1 there
-    s = c - a - b  # = beta - 2 H
-    if s > 1e-10:
-        tail = near_one_asymptotic(a, b, c, 1.0) * delta
-    elif abs(s) <= 1e-10:
-        lead = math.exp(log_gamma(c) - log_gamma(a) - log_gamma(b))
-        base = near_one_asymptotic(a, b, c, 1.0 - delta)
-        # int_0^delta (base + lead ln(delta/w)) dw
-        tail = delta * base + lead * delta
-    else:
-        lead = near_one_asymptotic(a, b, c, 1.0 - delta) * delta ** (-s)
-        tail = lead * delta ** (1.0 + s) / (1.0 + s)
-    return head + tail
+    z_integral = special.hyp2f1(beta, 2.0 * H - 1.0, 2.0 * beta, 1.0) \
+        / (2.0 * H - 1.0)
+    return float(pref * xi_factor * z_integral)
 
 
 @dataclass(frozen=True)
@@ -212,7 +183,7 @@ def shift_trace_criterion(beta: float, H: float) -> dict:
         j = j_closed_form(beta, H)
         regime = "closed-form"
     else:
-        # the hypergeometric chain needs beta > H; below it only the
+        # the 2F1 reduction needs beta > H; below it only the
         # quadrature divergence trend is available
         j = DIVERGENT
         regime = "quadrature-trend (beta <= H)"

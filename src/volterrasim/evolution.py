@@ -16,7 +16,7 @@ from scipy import integrate
 
 from .errors import ConfigError
 from .kernels import FbmKernel, phi
-from .processes import GridSpec, RosenblattScheme, simulate_fbm, \
+from .processes import Ensemble, GridSpec, RosenblattScheme, simulate_fbm, \
     simulate_rosenblatt
 
 FAMILIES = ("fbm", "rosenblatt")
@@ -83,21 +83,6 @@ class EquationSpec:
         return len(self.lambdas)
 
 
-@dataclass
-class VectorEnsemble:
-    """Vector-valued paths: values[i, n, p] = mode n of path p at times[i]."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def at(self, t: float) -> np.ndarray:
-        return self.values[self.grid.index_of(t)]
-
-    @property
-    def n_paths(self) -> int:
-        return self.values.shape[2]
-
-
 def _semigroup_cell_averages(lam: float, times: np.ndarray,
                              edges: np.ndarray) -> np.ndarray:
     """A[i, j] = average of exp(-lam (t_i - r)) over cell j, zero outside [0, t_i].
@@ -144,8 +129,10 @@ def _simulate_components(spec: EquationSpec, grid: GridSpec, n_paths: int,
 
 def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
                t_trunc: float = 20.0, tail_tol: float = 1e-2,
-               substeps: int = 2) -> VectorEnsemble:
+               substeps: int = 2) -> Ensemble:
     """Monte-Carlo mild solution X_t = S(t) x0 + int_0^t S(t-r) Phi dB_r.
+
+    values[i, n, p] is mode n of path p at times[i].
 
     For x0 = "x-infinity" the noise is simulated jointly on
     [-t_trunc, t_max] and x_infinity = int_{-t_trunc}^0 S(-u) Phi dB_u is
@@ -195,7 +182,7 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
             raise ConfigError("x0 vector must match the number of modes")
         decay = np.exp(-np.outer(times, spec.lambdas))  # (n_t, n_modes)
         out += (decay * x0[None, :])[:, :, None]
-    return VectorEnsemble(grid, out)
+    return Ensemble(grid, out, tag="mild")
 
 
 def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,

@@ -175,20 +175,22 @@ def integrate_step(f: StepFunction, paths) -> np.ndarray:
     return out
 
 
-def step_approximation(fn, s: float, t: float, n_sub: int, dim=None) -> StepFunction:
-    """Cell-average step approximation of a general integrand on [s, t)."""
-    edges = np.linspace(s, t, n_sub + 1)
-    sample = np.atleast_1d(np.asarray(fn(0.5 * (s + t)), float))
-    m = len(sample) if dim is None else dim
-    vals = np.zeros((n_sub, m))
-    for j in range(n_sub):
-        a, b = edges[j], edges[j + 1]
+def _cell_averages(fn, edges: np.ndarray) -> np.ndarray:
+    """Gauss-Legendre averages of fn over each cell; shape (n_cells, dim)."""
+    rows = []
+    for a, b in zip(edges[:-1], edges[1:]):
         x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
         fx = np.array([np.atleast_1d(fn(xi)) for xi in x], float)
         if not np.all(np.isfinite(fx)):
             raise ValueError(f"integrand not finite on [{a}, {b}]")
-        vals[j] = 0.5 * _GL_WEIGHTS @ fx
-    return StepFunction(edges, vals)
+        rows.append(0.5 * _GL_WEIGHTS @ fx)
+    return np.array(rows)
+
+
+def step_approximation(fn, s: float, t: float, n_sub: int) -> StepFunction:
+    """Cell-average step approximation of a general integrand on [s, t)."""
+    edges = np.linspace(s, t, n_sub + 1)
+    return StepFunction(edges, _cell_averages(fn, edges))
 
 
 def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndarray:
@@ -204,16 +206,8 @@ def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndar
     edges = np.array(edges)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise AlignmentError("integration window too small for the path grid")
-    sample = np.atleast_1d(np.asarray(fn(0.5 * (s + t)), float))
-    vals = np.zeros((len(edges) - 1, len(sample)))
-    for j in range(len(edges) - 1):
-        a, b = edges[j], edges[j + 1]
-        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        fx = np.array([np.atleast_1d(fn(xi)) for xi in x], float)
-        if not np.all(np.isfinite(fx)):
-            raise ValueError(f"integrand not finite on [{a}, {b}]")
-        vals[j] = 0.5 * _GL_WEIGHTS @ fx
-    return integrate_step(StepFunction(edges, vals), paths)
+    return integrate_step(StepFunction(edges, _cell_averages(fn, edges)),
+                          paths)
 
 
 def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,

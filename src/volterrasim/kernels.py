@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .errors import QuadratureError
 
@@ -52,12 +52,9 @@ class VolterraKernel:
 
 
 def fbm_normalizing_constant(H: float) -> float:
-    """C_H with E(W_1^H)^2 = 1; computed in log space via lgamma."""
-    # B(H - 1/2, 2 - 2H) through the Gamma function
-    log_beta = (
-        math.lgamma(H - 0.5) + math.lgamma(2.0 - 2.0 * H) - math.lgamma(1.5 - H)
-    )
-    return math.sqrt(2.0 * H / ((H - 0.5) * math.exp(log_beta)))
+    """C_H with E(W_1^H)^2 = 1."""
+    B = special.beta(H - 0.5, 2.0 - 2.0 * H)
+    return math.sqrt(2.0 * H / ((H - 0.5) * B))
 
 
 class FbmKernel(VolterraKernel):
@@ -243,6 +240,5 @@ def check_regularity(kernel: VolterraKernel, pairs, tol: float = 1e-9) -> dict:
 def holder_bound_constant(kernel: VolterraKernel) -> float:
     """C with E(b_t - b_s)^2 <= C (t - s)^(1 + 2 alpha)."""
     a = kernel.alpha
-    return kernel.regularity_const ** 2 * math.exp(
-        math.lgamma(a) + math.lgamma(1.0 - 2.0 * a) - math.lgamma(1.0 - a)
-    ) / (a * (1.0 + 2.0 * a))
+    return kernel.regularity_const ** 2 * special.beta(a, 1.0 - 2.0 * a) \
+        / (a * (1.0 + 2.0 * a))

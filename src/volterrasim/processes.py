@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 from .errors import AlignmentError, ConfigError, FactorizationError, QuadratureError
 from .rng import normal_matrix
@@ -58,7 +59,11 @@ class GridSpec:
 
 @dataclass
 class Ensemble:
-    """Immutable bundle of sample paths: values[i, p] = path p at times[i]."""
+    """Immutable bundle of sample paths, path p in the last axis.
+
+    values[i, p] is path p at times[i]; a vector-valued ensemble has
+    values[i, n, p], component n.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -72,7 +77,7 @@ class Ensemble:
 
     @property
     def n_paths(self) -> int:
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def at(self, t: float) -> np.ndarray:
         """Values of all paths at (snapped) time t."""
@@ -169,10 +174,7 @@ def rosenblatt_sigma(H: float) -> float:
 
 def rosenblatt_normalizer(H: float) -> float:
     """A_H = sigma / B(H/2, 1 - H)."""
-    log_beta = (
-        math.lgamma(0.5 * H) + math.lgamma(1.0 - H) - math.lgamma(1.0 - 0.5 * H)
-    )
-    return rosenblatt_sigma(H) / math.exp(log_beta)
+    return rosenblatt_sigma(H) / special.beta(0.5 * H, 1.0 - H)
 
 
 def rosenblatt_tail_bound(H: float, span: float, depth: float) -> float:
@@ -183,10 +185,7 @@ def rosenblatt_tail_bound(H: float, span: float, depth: float) -> float:
     {y1 < cut}, using (u - y)^(H/2-1)(v - y)^(H/2-1) <= (min(u,v)-y)^(H-2).
     """
     A = rosenblatt_normalizer(H)
-    log_beta = (
-        math.lgamma(0.5 * H) + math.lgamma(1.0 - H) - math.lgamma(1.0 - 0.5 * H)
-    )
-    B = math.exp(log_beta)
+    B = special.beta(0.5 * H, 1.0 - H)
     return (
         4.0 * A * A * B
         * depth ** (H - 1.0) / (1.0 - H)
@@ -357,13 +356,7 @@ def rosenblatt_grid_covariance(grid: GridSpec, scheme: RosenblattScheme) -> np.n
 def rosenblatt_discretization_tolerance(grid: GridSpec,
                                         scheme: RosenblattScheme) -> float:
     """Max absolute deviation of grid covariance from the exact fBm-type law."""
-    times = grid.times
-    H2 = 2.0 * scheme.H
-    exact = 0.5 * (
-        np.abs(times)[:, None] ** H2
-        + np.abs(times)[None, :] ** H2
-        - np.abs(times[:, None] - times[None, :]) ** H2
-    )
+    exact = fbm_covariance_matrix(grid.times, scheme.H)
     return float(np.max(np.abs(rosenblatt_grid_covariance(grid, scheme) - exact)))
 
 

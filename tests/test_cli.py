@@ -113,3 +113,4 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self):
         assert run("verify", "--suite", "nope") == 2
+        assert run("verify", "--suite", "kernel", "--workers", "2") == 2

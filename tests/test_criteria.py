@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from volterrasim.criteria import (
     DIVERGENT,
@@ -51,9 +52,25 @@ class TestJClosedForm:
         with pytest.raises(ValueError):
             j_closed_form(0.6, 0.7)
 
+    @pytest.mark.filterwarnings("error", category=IntegrationWarning)
+    @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
+    def test_continuous_through_log_case(self, H):
+        # beta = 2H is the logarithmic case c = a + b of 2F1(b, 2H; 2b; z);
+        # there the Gamma factors cancel to 1 / (H (2H - 1)^2)
+        eps = 1e-6
+        mean = 0.5 * (j_closed_form(2 * H - eps, H)
+                      + j_closed_form(2 * H + eps, H))
+        assert j_closed_form(2 * H, H) == pytest.approx(mean, rel=1e-6)
+        assert j_closed_form(2 * H, H) == pytest.approx(
+            1.0 / (H * (2 * H - 1) ** 2), rel=1e-12)
+
 
 class TestJQuadrature:
-    @pytest.mark.parametrize("beta,H", [(1.7, 0.7), (1.75, 0.75), (1.5, 0.6)])
+    # (2H + 1, H) puts the 2F1 parameters at an integer gap c - a - b = 1
+    @pytest.mark.filterwarnings("error", category=IntegrationWarning)
+    @pytest.mark.parametrize("beta,H", [
+        (1.7, 0.7), (1.75, 0.75), (1.5, 0.6),
+        (2.2, 0.6), (2.5, 0.75), (2.8, 0.9)])
     def test_matches_closed_form(self, beta, H):
         res = j_quadrature(beta, H)
         assert res.converged
