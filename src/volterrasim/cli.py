@@ -15,8 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import VolterraError
-from .processes import Ensemble, GridSpec, RosenblattScheme, simulate_fbm, \
-    simulate_rosenblatt
+from .processes import Ensemble, GridSpec, simulate
 
 MANIFEST_SCHEMA = "1"
 
@@ -41,18 +40,8 @@ def write_manifest(path, command: str, params: dict) -> None:
 
 
 def _simulate_block(args_tuple):
-    (process, grid_args, H, n_block, seed, stream, offset, tail_tol,
-     substeps) = args_tuple
-    grid = GridSpec(*grid_args)
-    if process == "fbm":
-        ens = simulate_fbm(grid, H, n_block, seed, stream=stream,
-                           path_offset=offset)
-    else:
-        scheme = RosenblattScheme.for_grid(grid, H, tail_tol=tail_tol,
-                                           substeps=substeps)
-        ens = simulate_rosenblatt(grid, scheme, n_block, seed, stream=stream,
-                                  path_offset=offset)
-    return ens.values
+    process, grid_args, *rest = args_tuple
+    return simulate(process, GridSpec(*grid_args), *rest).values
 
 
 def cmd_simulate(args) -> int:

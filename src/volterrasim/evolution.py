@@ -10,14 +10,14 @@ computed by quadrature independently of the Monte-Carlo solver.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import integrate
 
 from .errors import ConfigError
-from .kernels import FbmKernel, phi
-from .processes import Ensemble, GridSpec, RosenblattScheme, simulate_fbm, \
-    simulate_rosenblatt
+from .kernels import FbmKernel, phi, phi_double_integral
+from .processes import Ensemble, GridSpec, simulate
 
 FAMILIES = ("fbm", "rosenblatt")
 
@@ -83,48 +83,36 @@ class EquationSpec:
         return len(self.lambdas)
 
 
-def _semigroup_cell_averages(lam: float, times: np.ndarray,
-                             edges: np.ndarray) -> np.ndarray:
-    """A[i, j] = average of exp(-lam (t_i - r)) over cell j, zero outside [0, t_i].
+def _exp_cell_averages(lam: float, times: np.ndarray,
+                       edges: np.ndarray) -> np.ndarray:
+    """A[i, j] = average of exp(-lam (t_i - r)) over cell j, zero unless hi_j <= t_i.
 
-    Written with non-positive exponents only, so large lam * t cannot
-    overflow.
+    The exponent is clipped at zero, which only touches masked cells, so
+    large lam * t cannot overflow.
     """
     lo = edges[:-1][None, :]
     hi = edges[1:][None, :]
     t = times[:, None]
     width = (hi - lo)
-    inside = (lo >= -1e-12) & (hi <= t + 1e-12)
+    inside = hi <= t + 1e-12
     if lam == 0.0:
         avg = np.ones_like(inside, dtype=float)
     else:
         with np.errstate(under="ignore"):
-            avg = np.exp(-lam * (t - hi)) * -np.expm1(-lam * width) / (lam * width)
+            avg = np.exp(-lam * np.maximum(t - hi, 0.0)) \
+                * -np.expm1(-lam * width) / (lam * width)
     return np.where(inside, avg, 0.0)
 
 
-def _past_cell_averages(lam: float, edges: np.ndarray) -> np.ndarray:
-    """Averages of exp(lam * u) over cells of a non-positive grid (u <= 0)."""
-    lo, hi = edges[:-1], edges[1:]
-    width = hi - lo
-    if lam == 0.0:
-        return np.ones_like(width)
-    with np.errstate(under="ignore"):
-        return np.exp(lam * hi) * -np.expm1(-lam * width) / (lam * width)
-
-
-def _simulate_components(spec: EquationSpec, grid: GridSpec, n_paths: int,
-                         seed: int, tail_tol: float, substeps: int) -> list:
-    comps = []
+def _noise_increments(spec: EquationSpec, grid: GridSpec, n_paths: int,
+                      seed: int, tail_tol: float, substeps: int) -> list:
+    """Per-component cell increments, each of shape (n_cells, n_paths)."""
+    out = []
     for k, fam in enumerate(spec.noise.families):
-        if fam == "fbm":
-            ens = simulate_fbm(grid, spec.noise.H, n_paths, seed, stream=k)
-        else:
-            scheme = RosenblattScheme.for_grid(
-                grid, spec.noise.H, tail_tol=tail_tol, substeps=substeps)
-            ens = simulate_rosenblatt(grid, scheme, n_paths, seed, stream=k)
-        comps.append(ens)
-    return comps
+        b = simulate(fam, grid, spec.noise.H, n_paths, seed, k, 0, tail_tol,
+                     substeps).values
+        out.append(b[1:] - b[:-1])
+    return out
 
 
 def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
@@ -151,31 +139,17 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
                             n_past + grid.n_points)
     else:
         sim_grid = grid
-    comps = _simulate_components(spec, sim_grid, n_paths, seed, tail_tol, substeps)
-    edges = sim_grid.times
-    pos = edges >= -1e-12
-    pos_edges = edges[pos]
+    deltas = _noise_increments(spec, sim_grid, n_paths, seed, tail_tol,
+                               substeps)
     times = grid.times
-    deltas = [c.values[1:] - c.values[:-1] for c in comps]  # (n_cells, n_paths)
-    pos_cells = pos[1:] & pos[:-1]
-    past_cells = ~pos_cells
 
     out = np.zeros((grid.n_points, spec.n_modes, n_paths))
-    n_past_cells = int(np.sum(past_cells))
     for n, lam in enumerate(spec.lambdas):
-        A = _semigroup_cell_averages(lam, times, pos_edges)
-        if use_past:
-            Bw = _past_cell_averages(lam, edges[: n_past_cells + 1])
-        z = np.zeros((grid.n_points, n_paths))
+        A = _exp_cell_averages(lam, times, sim_grid.times)
         for k in range(spec.noise.n_components):
             coef = spec.phi_matrix[n, k]
-            if coef == 0.0:
-                continue
-            db = deltas[k]
-            z += coef * (A @ db[pos_cells])
-            if use_past:
-                z += coef * np.exp(-lam * times)[:, None] * (Bw @ db[past_cells])
-        out[:, n, :] = z
+            if coef != 0.0:
+                out[:, n, :] += coef * (A @ deltas[k])
     if spec.x0 is not None and not use_past:
         x0 = np.atleast_1d(np.asarray(spec.x0, float))
         if x0.shape != (spec.n_modes,):
@@ -194,12 +168,10 @@ def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
         raise ConfigError("limiting-measure condition fails; x_infinity undefined")
     n = max(2, int(round(t_trunc / dt)) + 1)
     grid = GridSpec(-t_trunc, 0.0, n)
-    comps = _simulate_components(spec, grid, n_paths, seed, tail_tol, substeps)
-    edges = grid.times
-    deltas = [c.values[1:] - c.values[:-1] for c in comps]
+    deltas = _noise_increments(spec, grid, n_paths, seed, tail_tol, substeps)
     out = np.zeros((spec.n_modes, n_paths))
     for m, lam in enumerate(spec.lambdas):
-        w = _past_cell_averages(lam, edges)
+        w = _exp_cell_averages(lam, np.zeros(1), grid.times)[0]
         for k in range(spec.noise.n_components):
             coef = spec.phi_matrix[m, k]
             if coef != 0.0:
@@ -226,26 +198,6 @@ def x_infinity_truncation_error(spec: EquationSpec, t_trunc: float) -> float:
         * np.exp(-2.0 * lam[live] * t_trunc)))
 
 
-def _mode_double_integral(kernel, lam_i: float, lam_j: float,
-                          s_hi: float, t_hi: float, r_ref: float,
-                          s_ref: float) -> float:
-    """int_0^{s_hi} int_0^{t_hi} e^{-lam_i (r_ref-u)} e^{-lam_j (s_ref-v)} phi(u,v)."""
-    if s_hi <= 0.0 or t_hi <= 0.0:
-        return 0.0
-
-    def inner(u):
-        def f(v):
-            return math.exp(-lam_i * (r_ref - u) - lam_j * (s_ref - v)) \
-                * phi(kernel, u, v)
-
-        pts = [u] if 0.0 < u < t_hi else None
-        val, _ = integrate.quad(f, 0.0, t_hi, points=pts, limit=200)
-        return val
-
-    val, _ = integrate.quad(inner, 0.0, s_hi, limit=200)
-    return val
-
-
 def covariance_qt(spec: EquationSpec, t: float) -> np.ndarray:
     """q_t by entrywise quadrature (equals g(t, t))."""
     return covariance_g(spec, t, t)
@@ -260,14 +212,19 @@ def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
     n = spec.n_modes
     out = np.zeros((n, n))
     cache = {}
+
+    def weighted(lam_i, lam_j, u, v):
+        return math.exp(-lam_i * (r - u) - lam_j * (s - v)) \
+            * phi(kernel, u, v)
+
     for i in range(n):
         for j in range(n):
             if gram[i, j] == 0.0:
                 continue
             key = (spec.lambdas[i], spec.lambdas[j])
             if key not in cache:
-                cache[key] = _mode_double_integral(
-                    kernel, spec.lambdas[i], spec.lambdas[j], r, s, r, s)
+                cache[key], _ = phi_double_integral(
+                    partial(weighted, *key), 0.0, r, 0.0, s)
             out[i, j] = gram[i, j] * cache[key]
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AlignmentError, ConsistencyError, QuadratureError
-from .kernels import VolterraKernel, cov_R, phi
+from .kernels import VolterraKernel, cov_R, phi, phi_double_integral
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -137,27 +137,11 @@ def inner_product_quadrature(kernel: VolterraKernel, f, g,
 
     f, g: callables returning vectors.  Oracle for E <i(f), i(g)>.
     """
-    def inner(u):
-        fu = np.atleast_1d(f(u))
+    def h(u, v):
+        return float(np.atleast_1d(f(u)) @ np.atleast_1d(g(v))) \
+            * phi(kernel, u, v)
 
-        def h(v):
-            return float(fu @ np.atleast_1d(g(v))) * phi(kernel, u, v)
-
-        pts = [u] if s2 < u < t2 else None
-        val, _ = integrate.quad(h, s2, t2, points=pts, limit=200)
-        return val
-
-    val, _ = integrate.quad(inner, s1, t1, limit=200)
-    return val
-
-
-def _path_matrix(paths) -> tuple:
-    """(grid, values) view accepting an Ensemble or a single SamplePath-like."""
-    grid = paths.grid
-    vals = paths.values
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    return grid, vals
+    return phi_double_integral(h, s1, t1, s2, t2)[0]
 
 
 def integrate_step(f: StepFunction, paths) -> np.ndarray:
@@ -166,9 +150,9 @@ def integrate_step(f: StepFunction, paths) -> np.ndarray:
     Breakpoints must sit on the path grid up to the dt/2 snapping
     tolerance, else AlignmentError.
     """
-    grid, vals = _path_matrix(paths)
-    idx = [grid.index_of(t) for t in f.breakpoints]
-    out = np.zeros((f.dim, vals.shape[1]))
+    vals = paths.values
+    idx = [paths.grid.index_of(t) for t in f.breakpoints]
+    out = np.zeros((f.dim, paths.n_paths))
     for j in range(len(f.values)):
         db = vals[idx[j + 1]] - vals[idx[j]]
         out += f.values[j][:, None] * db[None, :]
@@ -197,7 +181,7 @@ def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndar
     """int_s^t fn(r) db_r via an n_sub-cell step approximation."""
     if not s < t:
         raise ValueError("need s < t")
-    grid, _ = _path_matrix(paths)
+    grid = paths.grid
     n_cells = max(1, int(round((t - s) / grid.dt)))
     n_sub = min(n_sub, n_cells)
     # align sub-cell edges with the path grid so increments are exact

@@ -17,6 +17,7 @@ control derived from the regularity bound.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -91,13 +92,18 @@ class FbmKernel(VolterraKernel):
         return H * (2.0 * H - 1.0) * abs(u - v) ** (2.0 * H - 2.0)
 
     def cov_closed_form(self, s1, t1, s2, t2):
-        H2 = 2.0 * self.H
-        return 0.5 * (
-            abs(t1 - s2) ** H2
-            + abs(t2 - s1) ** H2
-            - abs(t1 - t2) ** H2
-            - abs(s1 - s2) ** H2
-        )
+        return fbm_cov(s1, t1, s2, t2, self.H)
+
+
+def fbm_cov(s1, t1, s2, t2, H: float):
+    """E (b_t1 - b_s1)(b_t2 - b_s2) of two-sided fBm; scalars or arrays."""
+    H2 = 2.0 * H
+    return 0.5 * (
+        abs(t1 - s2) ** H2
+        + abs(t2 - s1) ** H2
+        - abs(t1 - t2) ** H2
+        - abs(s1 - s2) ** H2
+    )
 
 
 def phi_quadrature(kernel: VolterraKernel, u: float, v: float,
@@ -197,20 +203,29 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2,
         s1, t1, sign = t1, s1, -sign
     if t2 < s2:
         s2, t2, sign = t2, s2, -sign
-    if t1 == s1 or t2 == s2:
-        return 0.0
-
-    def inner(u):
-        pts = [u] if s2 < u < t2 else None
-        val, _ = integrate.quad(
-            lambda v: phi(kernel, u, v), s2, t2, points=pts, limit=200)
-        return val
-
-    val, err = integrate.quad(inner, s1, t1, limit=200)
+    val, err = phi_double_integral(partial(phi, kernel), s1, t1, s2, t2)
     if err > max(rtol * abs(val), 1e-9):
         raise QuadratureError("cov_R quadrature above tolerance",
                               value=val, estimate=err)
     return sign * val
+
+
+def phi_double_integral(f, s1, t1, s2, t2) -> tuple:
+    """(value, outer quad error) of int_{s1}^{t1} int_{s2}^{t2} f(u, v) dv du.
+
+    f(u, v) is a phi-weighted integrand, singular on the diagonal, so the
+    inner quadrature is split at v = u.  An empty rectangle gives zero
+    without evaluating f, which phi could not do at u = v.
+    """
+    if t1 == s1 or t2 == s2:
+        return 0.0, 0.0
+
+    def inner(u):
+        pts = [u] if s2 < u < t2 else None
+        val, _ = integrate.quad(partial(f, u), s2, t2, points=pts, limit=200)
+        return val
+
+    return integrate.quad(inner, s1, t1, limit=200)
 
 
 def check_regularity(kernel: VolterraKernel, pairs, tol: float = 1e-9) -> dict:

@@ -15,6 +15,7 @@ import numpy as np
 from scipy import special
 
 from .errors import AlignmentError, ConfigError, FactorizationError, QuadratureError
+from .kernels import fbm_cov
 from .rng import normal_matrix
 
 MAX_DENSE_GRID = 8192
@@ -62,7 +63,7 @@ class Ensemble:
     """Immutable bundle of sample paths, path p in the last axis.
 
     values[i, p] is path p at times[i]; a vector-valued ensemble has
-    values[i, n, p], component n.
+    values[i, n, p], component n.  One-dimensional values are one path.
     """
 
     grid: GridSpec
@@ -71,6 +72,8 @@ class Ensemble:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
+        if self.values.ndim == 1:
+            self.values = self.values[:, None]
         if self.values.shape[0] != self.grid.n_points:
             raise ValueError("values rows must match grid points")
         self.values.setflags(write=False)
@@ -107,12 +110,7 @@ def ensemble_from_csv(path, tag: str = "custom") -> Ensemble:
 def fbm_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
     """E b_s b_t = (|s|^2H + |t|^2H - |t-s|^2H) / 2 on the grid."""
     t = np.asarray(times, float)
-    H2 = 2.0 * H
-    return 0.5 * (
-        np.abs(t)[:, None] ** H2
-        + np.abs(t)[None, :] ** H2
-        - np.abs(t[:, None] - t[None, :]) ** H2
-    )
+    return fbm_cov(0, t[:, None], 0, t[None, :], H)
 
 
 def _columnwise_matmul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -342,13 +340,10 @@ def rosenblatt_grid_covariance(grid: GridSpec, scheme: RosenblattScheme) -> np.n
     u, du, sgn = _time_refinement(grid, scheme.substeps)
     a = _chaos_weights(scheme, u)
     g2 = (a @ a.T) ** 2
-    n_t = grid.n_points
     # signed selection of refined steps inside (0, t_j]
-    sel = np.zeros((n_t, len(u)))
-    times = grid.times
-    for j, t in enumerate(times):
-        inside = (u > min(0.0, t)) & (u < max(0.0, t))
-        sel[j, inside] = (sgn * du)[inside]
+    t = grid.times[:, None]
+    inside = (u > np.minimum(0.0, t)) & (u < np.maximum(0.0, t))
+    sel = np.where(inside, sgn * du, 0.0)
     A = scheme.A_H
     return 2.0 * A * A * sel @ g2 @ sel.T
 
@@ -358,6 +353,21 @@ def rosenblatt_discretization_tolerance(grid: GridSpec,
     """Max absolute deviation of grid covariance from the exact fBm-type law."""
     exact = fbm_covariance_matrix(grid.times, scheme.H)
     return float(np.max(np.abs(rosenblatt_grid_covariance(grid, scheme) - exact)))
+
+
+def simulate(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
+             stream: int, path_offset: int, tail_tol: float,
+             substeps: int) -> Ensemble:
+    """Ensemble of process "fbm" or "rosenblatt".
+
+    tail_tol and substeps build the Rosenblatt scheme; fbm ignores them.
+    """
+    if process == "fbm":
+        return simulate_fbm(grid, H, n_paths, seed, stream, path_offset)
+    scheme = RosenblattScheme.for_grid(grid, H, tail_tol=tail_tol,
+                                       substeps=substeps)
+    return simulate_rosenblatt(grid, scheme, n_paths, seed, stream,
+                               path_offset)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,40 @@ from volterrasim.evolution import (
     solve_mild,
     x_infinity_truncation_error,
 )
+from volterrasim.kernels import fbm_cov
 from volterrasim.processes import GridSpec
 
 
 def unit_spec(H=0.7, lam=1.0, x0=None):
     """One mode, one fbm component, Phi = 1."""
     return EquationSpec([lam], [[1.0]], NoiseSpec(("fbm",), H), x0=x0)
+
+
+def two_mode_spec(H=0.7):
+    return EquationSpec([0.5, 2.0], [[1.0, 0.0], [0.5, 0.5]],
+                        NoiseSpec(("fbm", "fbm"), H))
+
+
+def g_cell_sum(spec, r, s, cells=2000):
+    """g(r, s) as a sum over cell pairs of [0, r] x [0, s].
+
+    Each pair carries the fBm increment covariance of its two cells and
+    the cell averages of exp(-lambda_i (r - u)) and exp(-lambda_j (s - v)).
+    """
+    lam = spec.lambdas[:, None]
+
+    def averages(t):
+        e = np.linspace(0.0, t, cells + 1)
+        w = (np.exp(-lam * (t - e[1:])) - np.exp(-lam * (t - e[:-1]))) \
+            / (lam * np.diff(e))
+        return e, w
+
+    eu, wu = averages(r)
+    ev, wv = averages(s)
+    cov = fbm_cov(eu[:-1, None], eu[1:, None], ev[None, :-1], ev[None, 1:],
+                  spec.noise.H)
+    gram = spec.phi_matrix @ spec.phi_matrix.T
+    return gram * (wu @ cov @ wv.T)
 
 
 @pytest.fixture(scope="module")
@@ -100,11 +128,16 @@ class TestClosedForms:
 
 class TestCovarianceOracles:
     def test_qt_symmetry_and_positivity(self):
-        spec = EquationSpec([0.5, 2.0], [[1.0, 0.0], [0.5, 0.5]],
-                            NoiseSpec(("fbm", "fbm"), 0.7))
+        spec = two_mode_spec()
         q = covariance_qt(spec, 1.0)
         np.testing.assert_allclose(q, q.T, rtol=1e-8)
         assert np.all(np.linalg.eigvalsh(q) > -1e-10)
+
+    @pytest.mark.parametrize("spec", [unit_spec(), two_mode_spec(H=0.8)],
+                             ids=["unit", "two-mode"])
+    def test_g_matches_cell_sum(self, spec):
+        np.testing.assert_allclose(covariance_g(spec, 0.5, 2.0),
+                                   g_cell_sum(spec, 0.5, 2.0), rtol=1e-6)
 
     def test_g_at_equal_times_is_qt(self):
         spec = unit_spec()
@@ -147,6 +180,11 @@ class TestSolveMild:
         drift = sol.at(1.0)[0].mean()
         se = sol.at(1.0)[0].std() / np.sqrt(50)
         assert abs(drift - 3.0 * math.exp(-2.0)) <= 4.0 * se
+
+    def test_stiff_mode_does_not_overflow(self):
+        spec = unit_spec(lam=500.0)
+        sol = solve_mild(spec, GridSpec(0.0, 2.0, 21), 5, seed=1)
+        assert np.isfinite(sol.values).all()
 
     def test_grid_must_start_at_zero(self):
         with pytest.raises(ConfigError):

@@ -13,6 +13,7 @@ from volterrasim.integration import (
     step_approximation,
 )
 from volterrasim.kernels import FbmKernel, cov_R
+from volterrasim.processes import Ensemble, GridSpec
 
 
 class TestStepFunction:
@@ -117,6 +118,12 @@ class TestPathwiseIntegral:
         f = StepFunction([0.0, 1.0], [[1.0]])
         out = integrate_step(f, fbm_ensemble)
         np.testing.assert_allclose(out[0], fbm_ensemble.increments(0.0, 1.0))
+
+    def test_one_dimensional_values_are_one_path(self):
+        ens = Ensemble(GridSpec(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
+        assert ens.n_paths == 1
+        out = integrate_step(StepFunction([0.2, 0.7], [[1.0]]), ens)
+        np.testing.assert_allclose(out, [[0.5]])
 
     def test_off_grid_breakpoint_rejected(self, fbm_ensemble):
         f = StepFunction([0.0, 1.0 + 0.6 * fbm_ensemble.grid.dt], [[1.0]])
