@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import VolterraError
-from .processes import Ensemble, GridSpec, simulate
+from .processes import PROCESSES, Ensemble, GridSpec, simulate
 
 MANIFEST_SCHEMA = "1"
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="write a path ensemble as CSV")
-    sim.add_argument("--process", choices=("fbm", "rosenblatt"), required=True)
+    sim.add_argument("--process", choices=PROCESSES, required=True)
     sim.add_argument("--H", type=float, required=True,
                      help="Hurst parameter in (1/2, 1)")
     sim.add_argument("--grid", required=True, help="t_min:t_max:n_points")

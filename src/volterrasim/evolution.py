@@ -17,9 +17,11 @@ from scipy import integrate
 
 from .errors import ConfigError
 from .kernels import FbmKernel, phi, phi_double_integral
-from .processes import Ensemble, GridSpec, simulate
+from .processes import PROCESSES, Ensemble, GridSpec, simulate
 
-FAMILIES = ("fbm", "rosenblatt")
+# RosenblattScheme.for_grid settings of the solvers' Rosenblatt noise
+TAIL_TOL = 1e-2
+SUBSTEPS = 2
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class NoiseSpec:
         if not fams:
             raise ConfigError("need at least one noise component")
         for fam in fams:
-            if fam not in FAMILIES:
+            if fam not in PROCESSES:
                 raise ConfigError(f"unknown noise family {fam!r}")
         if not 0.5 < self.H < 1.0:
             raise ConfigError(f"H must lie in (1/2, 1), got {self.H}")
@@ -104,20 +106,27 @@ def _exp_cell_averages(lam: float, times: np.ndarray,
     return np.where(inside, avg, 0.0)
 
 
-def _noise_increments(spec: EquationSpec, grid: GridSpec, n_paths: int,
-                      seed: int, tail_tol: float, substeps: int) -> list:
-    """Per-component cell increments, each of shape (n_cells, n_paths)."""
-    out = []
-    for k, fam in enumerate(spec.noise.families):
-        b = simulate(fam, grid, spec.noise.H, n_paths, seed, k, 0, tail_tol,
-                     substeps).values
-        out.append(b[1:] - b[:-1])
+def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
+                    n_paths: int, seed: int) -> np.ndarray:
+    """Cell sum of int_grid S(t - r) Phi dB_r, shape (n_t, n_modes, n_paths).
+
+    Noise component k is simulated on grid with stream k.
+    """
+    deltas = [np.diff(simulate(fam, grid, spec.noise.H, n_paths, seed, k, 0,
+                               TAIL_TOL, SUBSTEPS).values, axis=0)
+              for k, fam in enumerate(spec.noise.families)]
+    out = np.zeros((len(times), spec.n_modes, n_paths))
+    for n, lam in enumerate(spec.lambdas):
+        A = _exp_cell_averages(lam, times, grid.times)
+        for k, db in enumerate(deltas):
+            coef = spec.phi_matrix[n, k]
+            if coef != 0.0:
+                out[:, n, :] += coef * (A @ db)
     return out
 
 
 def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
-               t_trunc: float = 20.0, tail_tol: float = 1e-2,
-               substeps: int = 2) -> Ensemble:
+               t_trunc: float = 20.0) -> Ensemble:
     """Monte-Carlo mild solution X_t = S(t) x0 + int_0^t S(t-r) Phi dB_r.
 
     values[i, n, p] is mode n of path p at times[i].
@@ -139,17 +148,8 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
                             n_past + grid.n_points)
     else:
         sim_grid = grid
-    deltas = _noise_increments(spec, sim_grid, n_paths, seed, tail_tol,
-                               substeps)
     times = grid.times
-
-    out = np.zeros((grid.n_points, spec.n_modes, n_paths))
-    for n, lam in enumerate(spec.lambdas):
-        A = _exp_cell_averages(lam, times, sim_grid.times)
-        for k in range(spec.noise.n_components):
-            coef = spec.phi_matrix[n, k]
-            if coef != 0.0:
-                out[:, n, :] += coef * (A @ deltas[k])
+    out = _convolve_noise(spec, times, sim_grid, n_paths, seed)
     if spec.x0 is not None and not use_past:
         x0 = np.atleast_1d(np.asarray(spec.x0, float))
         if x0.shape != (spec.n_modes,):
@@ -160,23 +160,13 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
 
 
 def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
-                      seed: int, dt: float = 0.01, tail_tol: float = 1e-2,
-                      substeps: int = 2) -> np.ndarray:
+                      seed: int, dt: float = 0.01) -> np.ndarray:
     """Samples of Z''_T = int_{-T}^0 S(-u) Phi dB_u, shape (n_modes, n_paths)."""
     value, ok = check_limit_condition(spec)
     if not ok:
         raise ConfigError("limiting-measure condition fails; x_infinity undefined")
-    n = max(2, int(round(t_trunc / dt)) + 1)
-    grid = GridSpec(-t_trunc, 0.0, n)
-    deltas = _noise_increments(spec, grid, n_paths, seed, tail_tol, substeps)
-    out = np.zeros((spec.n_modes, n_paths))
-    for m, lam in enumerate(spec.lambdas):
-        w = _exp_cell_averages(lam, np.zeros(1), grid.times)[0]
-        for k in range(spec.noise.n_components):
-            coef = spec.phi_matrix[m, k]
-            if coef != 0.0:
-                out[m] += coef * (w @ deltas[k])
-    return out
+    grid = GridSpec(-t_trunc, 0.0, max(2, int(round(t_trunc / dt)) + 1))
+    return _convolve_noise(spec, np.zeros(1), grid, n_paths, seed)[0]
 
 
 def x_infinity_truncation_error(spec: EquationSpec, t_trunc: float) -> float:

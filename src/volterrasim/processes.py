@@ -19,6 +19,7 @@ from .kernels import fbm_cov
 from .rng import normal_matrix
 
 MAX_DENSE_GRID = 8192
+PROCESSES = ("fbm", "rosenblatt")
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,8 @@ class Ensemble:
             self.values = self.values[:, None]
         if self.values.shape[0] != self.grid.n_points:
             raise ValueError("values rows must match grid points")
+        # a read-only view: the caller's array stays writable
+        self.values = self.values.view()
         self.values.setflags(write=False)
 
     @property
@@ -90,13 +93,11 @@ class Ensemble:
         return self.at(t) - self.at(s)
 
     def to_csv(self, path) -> None:
-        times = self.grid.times
         with open(path, "w", newline="") as fh:
             fh.write("t," + ",".join(f"path_{p}" for p in range(self.n_paths)))
             fh.write("\n")
-            for i, t in enumerate(times):
-                row = ",".join(repr(float(x)) for x in self.values[i])
-                fh.write(f"{float(t)!r},{row}\n")
+            for t, row in zip(self.grid.times.tolist(), self.values.tolist()):
+                fh.write(f"{t!r},{','.join(map(repr, row))}\n")
 
 
 def ensemble_from_csv(path, tag: str = "custom") -> Ensemble:
@@ -113,27 +114,13 @@ def fbm_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
     return fbm_cov(0, t[:, None], 0, t[None, :], H)
 
 
-def _columnwise_matmul(A: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """A @ Z computed one column at a time.
-
-    A blocked GEMM reorders the reduction depending on the total number
-    of columns, so the same path simulated inside differently sized
-    batches could differ in the last ulp.  Per-column products make
-    each path's values depend only on its own Gaussian column.
-    """
-    out = np.empty((A.shape[0], Z.shape[1]))
-    for p in range(Z.shape[1]):
-        out[:, p] = A @ Z[:, p]
-    return out
-
-
 def _factor_psd(C: np.ndarray) -> np.ndarray:
     """Cholesky factor, retrying with relative jitter before giving up."""
     jitter = 1e-12 * np.trace(C)
-    for attempt in range(4):
+    for shift in (0.0, jitter, 10.0 * jitter, 100.0 * jitter):
         try:
-            shift = 0.0 if attempt == 0 else jitter * 10.0 ** (attempt - 1)
-            return np.linalg.cholesky(C + shift * np.eye(len(C)))
+            return np.linalg.cholesky(
+                C + shift * np.eye(len(C)) if shift else C)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
@@ -158,7 +145,9 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
     L = _factor_psd(C)
     Z = normal_matrix(seed, stream, int(live.sum()), n_paths, path_offset)
     values = np.zeros((grid.n_points, n_paths))
-    values[live] = _columnwise_matmul(L, Z)
+    # one mat-vec per path: a blocked GEMM reorders its reduction with the
+    # batch width, so a path would depend on the batch it is simulated in
+    values[live] = np.matvec(L, Z.T).T
     return Ensemble(grid, values, tag="fbm")
 
 
@@ -215,24 +204,12 @@ class RosenblattScheme:
         e.setflags(write=False)
 
     @property
-    def sigma(self) -> float:
-        return rosenblatt_sigma(self.H)
-
-    @property
     def A_H(self) -> float:
         return rosenblatt_normalizer(self.H)
 
     @property
     def y_min(self) -> float:
         return float(self.y_edges[0])
-
-    @property
-    def y_max(self) -> float:
-        return float(self.y_edges[-1])
-
-    @property
-    def m(self) -> int:
-        return len(self.y_edges) - 1
 
     @classmethod
     def for_grid(cls, grid: GridSpec, H: float, tail_tol: float = 1e-3,
@@ -306,7 +283,7 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
     estimator centred while retaining the kernel mass of the diagonal
     band, which plain i = j zeroing would lose at rate O(dy^(2H-1)).
     """
-    if scheme.y_max < grid.t_max - 1e-12:
+    if scheme.y_edges[-1] < grid.t_max - 1e-12:
         raise ConfigError("chaos grid must reach t_max")
     tail = scheme.tail_bound(grid)
     if tail > scheme.tail_tol:
@@ -315,8 +292,10 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
             f"tail_tol {scheme.tail_tol:.3g}")
     u, du, _ = _time_refinement(grid, scheme.substeps)
     a = _chaos_weights(scheme, u)
-    W = normal_matrix(seed, stream, scheme.m, n_paths, path_offset)
-    M = _columnwise_matmul(a, W)
+    W = normal_matrix(seed, stream, a.shape[1], n_paths, path_offset)
+    # per-path mat-vecs as in simulate_fbm; out=M.T keeps M C-ordered
+    M = np.empty((len(u), n_paths))
+    np.matvec(a, W.T, out=M.T)
     mass = np.sum(a * a, axis=1)
     # increments R_t - R_s integrate the (positive) product kernel over
     # (s, t); anchoring at 0 happens through the prefix difference below,
@@ -358,10 +337,12 @@ def rosenblatt_discretization_tolerance(grid: GridSpec,
 def simulate(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
              stream: int, path_offset: int, tail_tol: float,
              substeps: int) -> Ensemble:
-    """Ensemble of process "fbm" or "rosenblatt".
+    """Ensemble of one of PROCESSES.
 
     tail_tol and substeps build the Rosenblatt scheme; fbm ignores them.
     """
+    if process not in PROCESSES:
+        raise ConfigError(f"unknown process {process!r}")
     if process == "fbm":
         return simulate_fbm(grid, H, n_paths, seed, stream, path_offset)
     scheme = RosenblattScheme.for_grid(grid, H, tail_tol=tail_tol,
@@ -394,40 +375,32 @@ class CumulantSpec:
 
 def _cell_averaged_link(x_edges: np.ndarray, H: float) -> np.ndarray:
     """Cell-pair averages of |x - y|^(H-1) from the exact double primitive."""
-    p = H + 1.0
     e = x_edges
-
-    # d2/dxdy of -|x - y|^(H+1) / (H (H+1)) is |x - y|^(H-1)
-    def prim(x, y):
-        return -np.abs(x - y) ** p / (H * p)
-
-    a0 = e[:-1][:, None]
-    a1 = e[1:][:, None]
-    b0 = e[:-1][None, :]
-    b1 = e[1:][None, :]
-    cell = prim(a1, b1) - prim(a1, b0) - prim(a0, b1) + prim(a0, b0)
+    p = H + 1.0
     w = np.diff(e)
-    return cell / (w[:, None] * w[None, :])
+    # d2/dxdy of -|x - y|^(H+1) / (H (H+1)) is |x - y|^(H-1)
+    prim = -np.abs(e[:, None] - e[None, :]) ** p / (H * p)
+    cell = prim[1:, 1:] - prim[1:, :-1] - prim[:-1, 1:] + prim[:-1, :-1]
+    del prim  # at most two n x n arrays are alive at a time
+    cell /= w[:, None] * w[None, :]
+    return cell
 
 
-def _cyclic_sum(spec: CumulantSpec, H: float, n_nodes: int) -> float:
+def _cyclic_sum(spec: CumulantSpec, H: float, edges: np.ndarray) -> float:
     """sum over index tuples of theta products times the cyclic S integral.
 
     Collapses to Tr((P_theta A)^k) where A is the cell-averaged link
     matrix and P_theta weights each cell by width times the sum of
     thetas of intervals containing it.
     """
-    lo = min(s for s, _ in spec.intervals)
-    hi = max(t for _, t in spec.intervals)
-    edges = np.linspace(lo, hi, n_nodes + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)
     A = _cell_averaged_link(edges, H)
-    weight = np.zeros(n_nodes)
+    weight = np.zeros(len(w))
     for (s, t), th in zip(spec.intervals, spec.thetas):
         weight += th * ((mids > s) & (mids < t))
-    B = (w * weight)[:, None] * A
-    Bk = np.linalg.matrix_power(B, spec.order)
+    A *= (w * weight)[:, None]  # P_theta A, in place
+    Bk = np.linalg.matrix_power(A, spec.order)
     return float(np.trace(Bk))
 
 
@@ -436,15 +409,22 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     """kappa_k = 2^(k-1) (k-1)! sigma^k * (cyclic multiple integral sum).
 
     The cyclic integral is computed on a cell-averaged link matrix and
-    extrapolated in the known O(w^(2H-1)) near-diagonal rate; the
-    coarse/fine discrepancy after extrapolation is the error estimate.
+    extrapolated in the known O(w^(2H-1)) near-diagonal rate from a mesh
+    and its bisection; the coarse/fine discrepancy after extrapolation is
+    the error estimate.
     """
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie in (1/2, 1), got {H}")
     if all(th == 0.0 for th in spec.thetas):
         return 0.0
-    s_coarse = _cyclic_sum(spec, H, n_nodes)
-    s_fine = _cyclic_sum(spec, H, 2 * n_nodes)
+    # an even number of fine cells between endpoints: all are coarse edges
+    ends = np.unique(np.ravel(spec.intervals))
+    span = ends[-1] - ends[0]
+    fine = np.unique(np.concatenate([
+        np.linspace(a, b, 2 * max(1, round(n_nodes * (b - a) / span)) + 1)
+        for a, b in zip(ends[:-1], ends[1:])]))
+    s_coarse = _cyclic_sum(spec, H, fine[::2])
+    s_fine = _cyclic_sum(spec, H, fine)
     p = 2.0 * H - 1.0
     r = 2.0 ** (-p)
     s_extrap = (s_fine - r * s_coarse) / (1.0 - r)

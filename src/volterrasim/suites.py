@@ -12,8 +12,7 @@ from .diagnostics import energy_statistic, energy_two_sample
 from .integration import StepFunction, check_law_symmetries, d_norm_sq, \
     integrate_step
 from .kernels import FbmKernel, check_regularity, phi_quadrature
-from .processes import GridSpec, RosenblattScheme, simulate_fbm, \
-    simulate_rosenblatt
+from .processes import GridSpec, simulate, simulate_fbm
 from .rng import substream
 
 SUITES = ("kernel", "isometry", "law-symmetry", "stationarity", "limit",
@@ -90,11 +89,10 @@ def suite_isometry(H: float, n_paths: int, seed: int, n_funcs: int = 5):
 
 def suite_law_symmetry(H: float, n_paths: int, seed: int, level: float = 0.01):
     grid = GridSpec(-1.0, 1.0, 201)
-    scheme = RosenblattScheme.for_grid(grid, H, tail_tol=1e-2, substeps=2)
     drivers = {
         "fbm": simulate_fbm(grid, H, n_paths, seed),
-        "rosenblatt": simulate_rosenblatt(grid, scheme, n_paths, seed,
-                                          stream=1),
+        "rosenblatt": simulate("rosenblatt", grid, H, n_paths, seed, 1, 0,
+                               1e-2, 2),
     }
     integrands = {
         "exp": lambda r: np.array([np.exp(-r)]),

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -63,6 +67,25 @@ class TestSimulate:
                        "--grid", "0:1:21", "--paths", "7", "--seed", "2",
                        "--tail-tol", "1e-2", "--substeps", "2",
                        "--workers", str(w), "--out", str(out)) == 0
+            outs.append((out / "ensemble.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_rosenblatt_bytes_independent_of_blas_threads(self, tmp_path):
+        # each path is its own mat-vec, so the BLAS thread count cannot
+        # change a reduction order (fbm still can, through its Cholesky
+        # factor)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.abspath(src))
+            subprocess.run(
+                [sys.executable, "-m", "volterrasim.cli", "simulate",
+                 "--process", "rosenblatt", "--H", "0.75",
+                 "--grid", "-1:1:201", "--paths", "40", "--seed", "7",
+                 "--out", str(out)], env=env, check=True,
+                capture_output=True)
             outs.append((out / "ensemble.csv").read_bytes())
         assert outs[0] == outs[1]
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from volterrasim.errors import AlignmentError, ConfigError
+from volterrasim.errors import AlignmentError, ConfigError, QuadratureError
+from volterrasim.kernels import fbm_cov
 from volterrasim.processes import (
     CumulantSpec,
     Ensemble,
@@ -17,6 +18,7 @@ from volterrasim.processes import (
     rosenblatt_normalizer,
     rosenblatt_sigma,
     rosenblatt_tail_bound,
+    simulate,
     simulate_fbm,
     simulate_rosenblatt,
 )
@@ -60,9 +62,21 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             fbm_ensemble.values[0, 0] = 1.0
 
+    def test_callers_array_stays_writable(self):
+        a = np.zeros((3, 2))
+        ens = Ensemble(GridSpec(0, 1, 3), a)
+        a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ens.values[0, 0] = 1.0
+
     def test_increments(self, fbm_ensemble):
         inc = fbm_ensemble.increments(0.0, 1.0)
         assert inc.shape == (fbm_ensemble.n_paths,)
+
+
+def test_unknown_process_rejected():
+    with pytest.raises(ConfigError):
+        simulate("brownian", GridSpec(0, 1, 11), 0.7, 3, 1, 0, 0, 1e-2, 2)
 
 
 class TestFbm:
@@ -192,6 +206,28 @@ class TestCumulants:
         k3_shifted = rosenblatt_cumulant(
             CumulantSpec(((5.0, 6.0),), (1.0,), 3), H)
         assert k3 == pytest.approx(k3_shifted, rel=1e-6)
+
+    @staticmethod
+    def _separated_variance(H):
+        # Var((R_1 - R_0) - (R_3 - R_2)), the same as for fBm
+        return 2.0 - 2.0 * fbm_cov(0.0, 1.0, 2.0, 3.0, H)
+
+    def test_separated_intervals(self):
+        # the gap (1, 2) must not shift cells off the endpoints 2 and 3
+        spec = CumulantSpec(((0.0, 1.0), (2.0, 3.0)), (1.0, -1.0), 2)
+        exact = self._separated_variance(0.8)
+        assert exact == pytest.approx(1.263320, abs=1e-6)
+        assert rosenblatt_cumulant(spec, 0.8) == pytest.approx(exact,
+                                                               rel=5e-3)
+
+    def test_separated_intervals_raise_or_converge(self):
+        spec = CumulantSpec(((0.0, 1.0), (2.0, 3.0)), (1.0, -1.0), 2)
+        exact = self._separated_variance(0.75)
+        try:
+            val = rosenblatt_cumulant(spec, 0.75)
+        except QuadratureError:
+            return
+        assert val == pytest.approx(exact, rel=5e-3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
