@@ -20,6 +20,7 @@ from volterrasim.evolution import (
 )
 from volterrasim.kernels import fbm_cov
 from volterrasim.processes import GridSpec
+from volterrasim.suites import default_equation
 
 
 def unit_spec(H=0.7, lam=1.0, x0=None):
@@ -151,6 +152,40 @@ class TestCovarianceOracles:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             covariance_g(unit_spec(), -1.0, 1.0)
+
+
+class TestCovarianceExact:
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_q_long_time_is_stationary_covariance(self, H):
+        # q_inf[i, j] = (Phi Phi^T)_ij H (2H-1) Gamma(2H-1)
+        #               (lam_i^(1-2H) + lam_j^(1-2H)) / (lam_i + lam_j);
+        # at t = 40 the rest is of order exp(-lam_min t) = 2e-9
+        spec = default_equation(H)
+        li, lj = spec.lambdas[:, None], spec.lambdas[None, :]
+        q_inf = (spec.phi_matrix @ spec.phi_matrix.T) \
+            * H * (2 * H - 1) * math.gamma(2 * H - 1) \
+            * (li ** (1 - 2 * H) + lj ** (1 - 2 * H)) / (li + lj)
+        np.testing.assert_allclose(covariance_qt(spec, 40.0), q_inf,
+                                   rtol=1e-7)
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    @pytest.mark.parametrize("lam", [500.0, 5000.0])
+    def test_stiff_mode(self, lam, H):
+        q = covariance_qt(unit_spec(H, lam), 2.0)[0, 0]
+        assert q == pytest.approx(H * math.gamma(2 * H) * lam ** (-2 * H),
+                                  rel=1e-10)
+
+    def test_zero_mode_is_fbm_variance(self):
+        H, t = 0.7, 1.7
+        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), H),
+                            allow_unstable=True)
+        assert covariance_qt(spec, t)[0, 0] == pytest.approx(t ** (2 * H),
+                                                             rel=1e-10)
+
+    def test_zero_time_gives_zeros(self):
+        spec = two_mode_spec()
+        assert np.array_equal(covariance_g(spec, 0.0, 1.0), np.zeros((2, 2)))
+        assert np.array_equal(covariance_g(spec, 1.0, 0.0), np.zeros((2, 2)))
 
 
 class TestSolveMild:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volterrasim.errors import AlignmentError, ConsistencyError
+from volterrasim.errors import AlignmentError, ConsistencyError, QuadratureError
 from volterrasim.integration import (
     StepFunction,
     check_law_symmetries,
@@ -111,6 +111,19 @@ class TestInnerProductQuadrature:
         one = lambda u: 1.0
         val = inner_product_quadrature(k, one, one, 0.0, 1.0, 0.0, 2.0)
         assert val == pytest.approx(cov_R(k, 0, 1, 0, 2), rel=1e-5)
+
+    def test_empty_rectangle_is_zero(self):
+        one = lambda u: 1.0
+        assert inner_product_quadrature(FbmKernel(0.7), one, one,
+                                        0.5, 0.5, 0.0, 1.0) == 0.0
+
+    def test_error_above_tolerance_raises(self):
+        # the oscillation cancels to about 1.5e-3, and the inner errors
+        # (about 7e-9) exceed 1e-6 of that
+        with pytest.raises(QuadratureError):
+            inner_product_quadrature(FbmKernel(0.7),
+                                     lambda u: np.sin(200.0 * u),
+                                     lambda v: 1.0, 0.0, 1.0, 0.0, 2.0)
 
 
 class TestPathwiseIntegral:

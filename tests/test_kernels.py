@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from volterrasim.errors import QuadratureError
+from volterrasim.integration import StepFunction, _kstar_l2_sq
 from volterrasim.kernels import (
     FbmKernel,
     VolterraKernel,
     check_regularity,
     cov_R,
     cov_R_quadrature,
+    fbm_cov,
     fbm_normalizing_constant,
     holder_bound_constant,
     phi,
@@ -95,6 +97,61 @@ def test_cov_R_quadrature_handles_swapped_intervals():
     plain = cov_R_quadrature(k, 0.0, 1.0, 0.0, 2.0)
     swapped = cov_R_quadrature(k, 1.0, 0.0, 0.0, 2.0)
     assert swapped == pytest.approx(-plain, rel=1e-6)
+
+
+def test_cov_R_quadrature_square_on_the_diagonal():
+    generic = _generic_fbm_clone(0.7)
+    assert cov_R_quadrature(generic, 0.0, 0.5, 0.0, 0.5) == pytest.approx(
+        fbm_cov(0.0, 0.5, 0.0, 0.5, 0.7), rel=1e-8)
+
+
+TEMPERED_ALPHA = 0.2
+
+
+def _tempered_kernel():
+    """K(t, r) = (t - r)^alpha e^-(t - r): regular, but not fBm."""
+    a = TEMPERED_ALPHA
+
+    def k_eval(t, r):
+        d = np.maximum(np.asarray(t - r, float), 0.0)
+        return d ** a * np.exp(-d)
+
+    def k_deriv(u, r):
+        w = u - r
+        return np.exp(-w) * w ** (a - 1.0) * (a - w)
+
+    return VolterraKernel(alpha=a, eval=k_eval, deriv=k_deriv,
+                          regularity_const=0.31)
+
+
+def _kstar_norm_sq(kernel, breakpoints, values):
+    return _kstar_l2_sq(kernel, StepFunction(breakpoints, values))
+
+
+def test_tempered_kernel_is_regular():
+    pairs = [(r + d, r) for r in (-2.0, 0.0, 3.0)
+             for d in np.geomspace(1e-6, 50.0, 40)]
+    assert check_regularity(_tempered_kernel(), pairs)["passed"]
+
+
+def test_cov_R_quadrature_tempered_variance_matches_kstar():
+    k = _tempered_kernel()
+    assert cov_R_quadrature(k, 0.0, 1.0, 0.0, 1.0) == pytest.approx(
+        _kstar_norm_sq(k, [0.0, 1.0], [[1.0]]), rel=1e-8)
+
+
+@pytest.mark.parametrize("rect", [(0.0, 0.5, 0.25, 0.75),
+                                  (-1.0, 0.0, 0.0, 1.0)])
+def test_cov_R_quadrature_tempered_matches_kstar_polarization(rect):
+    # R(A, B) = (|1_A + 1_B|^2 - |1_A|^2 - |1_B|^2) / 2 in the K* norm
+    k = _tempered_kernel()
+    s1, t1, s2, t2 = rect
+    bp = sorted({s1, t1, s2, t2})
+    both = [[(s1 <= lo < t1) + (s2 <= lo < t2)] for lo in bp[:-1]]
+    polar = 0.5 * (_kstar_norm_sq(k, bp, both)
+                   - _kstar_norm_sq(k, [s1, t1], [[1.0]])
+                   - _kstar_norm_sq(k, [s2, t2], [[1.0]]))
+    assert cov_R_quadrature(k, *rect) == pytest.approx(polar, rel=1e-6)
 
 
 def test_check_regularity_passes_for_fbm():
