@@ -2,14 +2,12 @@
 
 The workhorse is the energy two-sample test with permutation
 calibration; it backs every equality-in-law claim checked by the
-package.  One-dimensional Kolmogorov-Smirnov projections and empirical
-characteristic functionals are secondary, more interpretable views.
+package.  `trace_trend` classifies the growth of a sequence of traces.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.spatial.distance import pdist, squareform
 
 from .rng import substream
@@ -37,26 +35,47 @@ def energy_statistic(X: np.ndarray, Y: np.ndarray) -> float:
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
     D = squareform(pdist(np.vstack([X, Y])))
-    nx = len(X)
-    return _energy_from_blocks(D, np.arange(nx), np.arange(nx, nx + len(Y)))
+    in_x = np.zeros((len(D), 1))
+    in_x[:len(X)] = 1.0
+    return float(_energy_columns(D, in_x)[0])
 
 
-def _energy_from_blocks(D, ix, iy):
-    dxy = D[np.ix_(ix, iy)].mean()
-    nx, ny = len(ix), len(iy)
-    dxx = D[np.ix_(ix, ix)].sum() / (nx * (nx - 1)) if nx > 1 else 0.0
-    dyy = D[np.ix_(iy, iy)].sum() / (ny * (ny - 1)) if ny > 1 else 0.0
-    return 2.0 * dxy - dxx - dyy
+def _energy_columns(D, in_x):
+    """E-statistic of each labelling in the columns of the 0/1 matrix in_x.
+
+    Column k marks with 1 the rows of the distance matrix D labelled X;
+    every column marks the same number of them.  The block sums follow
+    from two products: (D in_x)[i, k] is the distance from row i to the
+    X group of labelling k, so summing it over the X rows of column k
+    gives the XX block and over the Y rows the XY block.
+    """
+    in_y = 1.0 - in_x
+    nx = int(in_x[:, 0].sum())
+    ny = len(D) - nx
+    to_x, to_y = D @ in_x, D @ in_y
+    sxy = np.einsum("ik,ik->k", in_y, to_x)
+    sxx = np.einsum("ik,ik->k", in_x, to_x)
+    syy = np.einsum("ik,ik->k", in_y, to_y)
+    dxx = sxx / (nx * (nx - 1)) if nx > 1 else 0.0
+    dyy = syy / (ny * (ny - 1)) if ny > 1 else 0.0
+    return 2.0 * (sxy / (nx * ny)) - dxx - dyy
 
 
 def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
                       seed: int = 0) -> TwoSampleReport:
     """Permutation-calibrated energy test; deterministic given seed.
 
-    Rows are observations.  Distances are precomputed once; each
-    permutation only relabels indices, so a swap of X and Y with the
-    same seed yields the same p-value.
+    Rows are observations.  Distances are computed once.  The observed
+    labelling and the n_perm cumulative shuffles of substream(seed, 0)
+    fill the columns of one 0/1 indicator matrix, and one pass of matrix
+    products gives the statistic of every column (see _energy_columns).
+    The p-value counts the shuffles whose statistic reaches the observed
+    one.
     """
+    if n_perm < 1:
+        raise ValueError("need n_perm >= 1")
+    if not 0.0 < level < 1.0:
+        raise ValueError("need 0 < level < 1")
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
     if X.shape[1] != Y.shape[1]:
@@ -68,50 +87,17 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
     if D.max() == 0.0:
         # both samples the same constant: laws trivially equal
         return TwoSampleReport(0.0, 1.0, n_perm, level)
-    observed = _energy_from_blocks(D, np.arange(nx), np.arange(nx, nx + ny))
     rng = substream(seed, 0)
     labels = np.arange(nx + ny)
-    count = 0
-    for _ in range(n_perm):
+    in_x = np.zeros((nx + ny, n_perm + 1))
+    in_x[:nx, 0] = 1.0
+    for k in range(1, n_perm + 1):
         rng.shuffle(labels)
-        stat = _energy_from_blocks(D, labels[:nx], labels[nx:])
-        if stat >= observed:
-            count += 1
+        in_x[labels[:nx], k] = 1.0
+    stats = _energy_columns(D, in_x)
+    count = np.count_nonzero(stats[1:] >= stats[0])
     p = (count + 1) / (n_perm + 1)
-    return TwoSampleReport(float(observed), float(p), n_perm, level)
-
-
-def ks_projections(X, Y, directions) -> list:
-    """Two-sided KS tests of 1-D projections along given directions."""
-    X = np.atleast_2d(np.asarray(X, float))
-    Y = np.atleast_2d(np.asarray(Y, float))
-    out = []
-    for h in directions:
-        h = np.asarray(h, float)
-        res = stats.ks_2samp(X @ h, Y @ h)
-        out.append((float(res.statistic), float(res.pvalue)))
-    return out
-
-
-@dataclass(frozen=True)
-class CharFunctionalEstimate:
-    direction: np.ndarray
-    estimate: complex
-    stderr: float
-
-
-def char_functional(sample: np.ndarray, h) -> CharFunctionalEstimate:
-    """Monte-Carlo estimate of E exp(i <h, X>) with its standard error.
-
-    sample: (n_obs, dim) rows; h: direction vector.
-    """
-    h = np.atleast_1d(np.asarray(h, float))
-    X = np.atleast_2d(np.asarray(sample, float))
-    z = np.exp(1j * (X @ h))
-    n = len(z)
-    est = z.mean()
-    stderr = float(np.sqrt((z.real.var() + z.imag.var()) / n))
-    return CharFunctionalEstimate(h, complex(est), stderr)
+    return TwoSampleReport(float(stats[0]), float(p), n_perm, level)
 
 
 def trace_trend(traces, t_grid, growth_tol: float = 0.1) -> dict:

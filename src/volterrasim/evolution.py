@@ -216,10 +216,15 @@ def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
     kink = math.copysign(abs(r - s) ** p, r - s)
     val, err = integrate.quad_vec(f, -s ** p, r ** p, epsabs=0.0, epsrel=1e-10,
                                   norm="max", points=[0.0, kink])
-    if err > 1e-8 * np.max(val):
-        raise QuadratureError("covariance_g quadrature above tolerance",
-                              value=val, estimate=err)
+    _check_estimate("covariance_g", val, err)
     return (spec.phi_matrix @ spec.phi_matrix.T) * H * mass * val
+
+
+def _check_estimate(name: str, val, err: float) -> None:
+    """Raise QuadratureError when err exceeds 1e-8 of the largest |val|."""
+    if err > 1e-8 * np.max(np.abs(val)):
+        raise QuadratureError(f"{name} quadrature above tolerance",
+                              value=val, estimate=err)
 
 
 def _exp_mass(c: np.ndarray, length: float) -> np.ndarray:
@@ -250,7 +255,9 @@ def check_H(spec: EquationSpec, T0: float = 1.0) -> tuple:
     def f(r):
         return hs_norm_sq(spec, r) ** p
 
-    val, _ = integrate.quad(f, 0.0, T0, limit=200)
+    val, err = integrate.quad(f, 0.0, T0, epsabs=0.0, epsrel=1e-10,
+                              limit=200)
+    _check_estimate("check_H", val, err)
     return float(val), bool(np.isfinite(val))
 
 
@@ -311,7 +318,8 @@ def check_limit_condition(spec: EquationSpec) -> tuple:
     if lam_min <= 0.0:
         return math.inf, False
     t_star = max(1.0, 5.0 / lam_min)
-    head, _ = integrate.quad(lambda r: hs_norm_sq(spec, r) ** p, 0.0, t_star,
-                             limit=200)
+    head, err = integrate.quad(lambda r: hs_norm_sq(spec, r) ** p, 0.0,
+                               t_star, epsabs=0.0, epsrel=1e-10, limit=200)
+    _check_estimate("check_limit_condition", head, err)
     tail = hs_norm_sq(spec, t_star) ** p / (2.0 * lam_min * p)
     return float(head + tail), True

@@ -1,11 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from volterrasim.diagnostics import (
-    char_functional,
     energy_statistic,
     energy_two_sample,
-    ks_projections,
     trace_trend,
 )
 from volterrasim.rng import substream
@@ -15,6 +18,55 @@ from volterrasim.rng import substream
 def gauss_pair():
     rng = substream(1000, 0)
     return rng.standard_normal((300, 2)), rng.standard_normal((300, 2))
+
+
+def loop_energy_test(X, Y, n_perm, seed):
+    """(statistic, p-value) from one np.ix_ gather per permutation.
+
+    The same cumulative shuffles of substream(seed, 0) as
+    energy_two_sample, with each statistic from its block means.
+    """
+    D = squareform(pdist(np.vstack([X, Y])))
+    nx = len(X)
+
+    def stat(ix, iy):
+        dxx = D[np.ix_(ix, ix)].sum() / (len(ix) * (len(ix) - 1))
+        dyy = D[np.ix_(iy, iy)].sum() / (len(iy) * (len(iy) - 1))
+        return 2.0 * D[np.ix_(ix, iy)].mean() - dxx - dyy
+
+    labels = np.arange(len(D))
+    observed = stat(labels[:nx], labels[nx:])
+    rng = substream(seed, 0)
+    count = 0
+    for _ in range(n_perm):
+        rng.shuffle(labels)
+        count += stat(labels[:nx], labels[nx:]) >= observed
+    return observed, (count + 1) / (n_perm + 1)
+
+
+def brute_energy(X, Y):
+    """2 E|X-Y| - E|X-X'| - E|Y-Y'| from explicit pairwise distances."""
+    def dist(A, B):
+        return np.linalg.norm(A[:, None, :] - B[None, :, :], axis=-1)
+
+    nx, ny = len(X), len(Y)
+    return (2.0 * dist(X, Y).mean() - dist(X, X).sum() / (nx * (nx - 1))
+            - dist(Y, Y).sum() / (ny * (ny - 1)))
+
+
+def sample_pair(nx, ny, dim, shift, seed, kind="normal"):
+    rng = substream(seed, 1)
+    if kind == "discrete":
+        # few distinct integer values: ties among permuted statistics are
+        # common, and integer distances make every block sum exact
+        return (rng.integers(0, 3, (nx, dim)).astype(float),
+                rng.integers(0, 3, (ny, dim)).astype(float) + shift)
+    if kind == "duplicated":
+        # every row appears twice within its sample
+        X = np.repeat(rng.standard_normal((nx // 2, dim)), 2, axis=0)
+        Y = np.repeat(rng.standard_normal((ny // 2, dim)), 2, axis=0)
+        return X, Y + shift
+    return rng.standard_normal((nx, dim)), rng.standard_normal((ny, dim)) + shift
 
 
 class TestEnergyStatistic:
@@ -29,6 +81,12 @@ class TestEnergyStatistic:
     def test_positive_for_shifted_samples(self, gauss_pair):
         X, _ = gauss_pair
         assert energy_statistic(X, X + 5.0) > 1.0
+
+    @pytest.mark.parametrize("nx, ny, dim", [(40, 70, 3), (55, 30, 1)])
+    def test_matches_brute_force(self, nx, ny, dim):
+        X, Y = sample_pair(nx, ny, dim, 0.4, seed=11)
+        assert energy_statistic(X, Y) == pytest.approx(brute_energy(X, Y),
+                                                       rel=1e-12)
 
 
 class TestEnergyTwoSample:
@@ -65,39 +123,67 @@ class TestEnergyTwoSample:
         with pytest.raises(ValueError):
             energy_two_sample(X[:10], Y, seed=0)
 
+    @pytest.mark.parametrize("n_perm", [0, -3])
+    def test_rejects_no_permutations(self, gauss_pair, n_perm):
+        X, _ = gauss_pair
+        with pytest.raises(ValueError, match="n_perm"):
+            energy_two_sample(X, X + 5.0, n_perm=n_perm, seed=0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, 1.5])
+    def test_rejects_level_outside_unit_interval(self, gauss_pair, level):
+        X, Y = gauss_pair
+        with pytest.raises(ValueError, match="level"):
+            energy_two_sample(X, Y, level=level, seed=0)
+
     def test_report_str(self, gauss_pair):
         X, Y = gauss_pair
         s = str(energy_two_sample(X, Y, seed=3))
         assert "p=" in s and ("pass" in s or "FAIL" in s)
 
 
-class TestKsProjections:
-    def test_same_law(self, gauss_pair):
-        X, Y = gauss_pair
-        out = ks_projections(X, Y, [np.array([1.0, 0.0]),
-                                    np.array([1.0, 1.0])])
-        assert len(out) == 2
-        assert all(p > 0.001 for _, p in out)
+class TestAgainstPermutationLoop:
+    """energy_two_sample against the one-gather-per-permutation loop."""
 
-    def test_shift_detected(self, gauss_pair):
-        X, Y = gauss_pair
-        (stat, p), = ks_projections(X, Y + 2.0, [np.array([1.0, 1.0])])
-        assert p < 1e-6
+    @pytest.mark.parametrize(
+        "nx, ny, dim, shift, n_perm, kind",
+        [(60, 90, 3, 0.0, 200, "normal"),
+         (90, 60, 3, 0.5, 200, "normal"),
+         (80, 80, 1, 0.2, 200, "normal"),
+         (100, 100, 12, 0.0, 200, "normal"),
+         (100, 100, 12, 0.3, 1, "normal"),
+         (60, 90, 2, 0.2, 200, "duplicated"),
+         (70, 80, 1, 0.0, 200, "discrete"),
+         (70, 80, 1, 0.0, 1, "discrete")])
+    def test_same_p_value_and_statistic(self, nx, ny, dim, shift, n_perm,
+                                        kind):
+        X, Y = sample_pair(nx, ny, dim, shift, seed=nx + dim, kind=kind)
+        observed, p = loop_energy_test(X, Y, n_perm, seed=5)
+        rep = energy_two_sample(X, Y, n_perm=n_perm, seed=5)
+        assert rep.p_value == p
+        assert rep.statistic == pytest.approx(observed, rel=1e-9)
 
-
-class TestCharFunctional:
-    def test_standard_normal(self):
-        rng = substream(7, 0)
-        X = rng.standard_normal((20000, 1))
-        est = char_functional(X, [1.0])
-        # E e^{iX} = e^{-1/2} for standard normal
-        assert abs(est.estimate - np.exp(-0.5)) <= 4.0 * est.stderr
-
-    def test_zero_direction(self):
-        X = np.ones((100, 2))
-        est = char_functional(X, [0.0, 0.0])
-        assert est.estimate == pytest.approx(1.0)
-        assert est.stderr == pytest.approx(0.0)
+    def test_same_verdict_for_every_blas_thread_count(self):
+        # the statistics come out of a matrix product, whose blocking may
+        # follow the thread count; the p-value must not
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (
+            "from volterrasim.diagnostics import energy_two_sample\n"
+            "from volterrasim.rng import substream\n"
+            "rng = substream(77, 0)\n"
+            "X = rng.standard_normal((300, 12))\n"
+            "Y = rng.standard_normal((300, 12)) + 0.05\n"
+            "rep = energy_two_sample(X, Y, seed=2)\n"
+            "print(rep.statistic.hex(), rep.p_value.hex())\n")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.abspath(src))
+            res = subprocess.run([sys.executable, "-c", code], env=env,
+                                 check=True, capture_output=True, text=True)
+            outs.append([float.fromhex(x) for x in res.stdout.split()])
+        (stat1, p1), (stat2, p2) = outs
+        assert p1 == p2
+        assert stat2 == pytest.approx(stat1, rel=1e-12)
 
 
 class TestTraceTrend:

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from volterrasim.errors import ConfigError
+from volterrasim import evolution
+from volterrasim.errors import ConfigError, QuadratureError
 from volterrasim.evolution import (
     EquationSpec,
     NoiseSpec,
@@ -118,6 +120,25 @@ class TestClosedForms:
         val, ok = check_limit_condition(spec)
         assert not ok
         assert val == math.inf
+
+    @pytest.mark.parametrize("check", [check_H, check_limit_condition])
+    def test_large_quadrature_estimate_raises(self, check, monkeypatch):
+        def coarse_quad(f, a, b, **kwargs):
+            return 1.0, 1e-6
+
+        monkeypatch.setattr(evolution, "integrate",
+                            SimpleNamespace(quad=coarse_quad))
+        with pytest.raises(QuadratureError) as info:
+            check(unit_spec())
+        assert info.value.estimate == 1e-6
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_default_equation_within_tolerance(self, H):
+        spec = default_equation(H)
+        assert check_H(spec)[1]
+        assert check_limit_condition(spec)[1]
+        # a stiff mode: quad's default absolute tolerance was 1e-6 of this
+        assert check_H(unit_spec(H, 500.0))[1]
 
     def test_truncation_error_formula(self):
         H, lam, T = 0.7, 1.0, 5.0
