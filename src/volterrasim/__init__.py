@@ -8,7 +8,7 @@ Submodules:
 - integration: step-function stochastic integrals and the D-norm.
 - evolution: mild solutions of linear evolution equations, covariance
   operators, stationarity criteria.
-- diagnostics: the energy two-sample test and trace-growth classification.
+- diagnostics: the energy two-sample test.
 - criteria: the worked examples (shift-semigroup threshold, heat
   equation admissibility).
 - cli: the `volterrasim` command-line tool.

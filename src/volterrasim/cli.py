@@ -28,6 +28,15 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, "
+                                         f"got {text}")
+    return value
+
+
 def write_manifest(path, command: str, params: dict) -> None:
     """Structured plain text; keys sorted so reruns are byte-identical."""
     with open(path, "w") as fh:
@@ -75,7 +84,7 @@ def cmd_simulate(args) -> int:
     values = np.hstack(blocks)
     # path identity depends only on (seed, stream, path index), so the
     # assembled ensemble is independent of the worker split
-    ens = Ensemble(grid, values, tag=args.process)
+    ens = Ensemble(grid, values)
     ens.to_csv(csv_path)
     write_manifest(manifest_path, "simulate", {
         "process": args.process,
@@ -102,6 +111,12 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     seed = 0 if args.seed is None else args.seed
+    if args.out:
+        report = os.path.join(args.out, f"verify_{args.suite}.txt")
+        if os.path.exists(report) and not args.force:
+            print(f"error: {report} exists (use --force to overwrite)",
+                  file=sys.stderr)
+            return 2
     if args.suite == "kernel":
         ok, lines = suites.suite_kernel()
     elif args.suite == "isometry":
@@ -119,11 +134,6 @@ def cmd_verify(args) -> int:
         print(line)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        report = os.path.join(args.out, f"verify_{args.suite}.txt")
-        if os.path.exists(report) and not args.force:
-            print(f"error: {report} exists (use --force to overwrite)",
-                  file=sys.stderr)
-            return 2
         with open(report, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         write_manifest(os.path.join(args.out, "manifest.txt"), "verify", {
@@ -148,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--H", type=float, required=True,
                      help="Hurst parameter in (1/2, 1)")
     sim.add_argument("--grid", required=True, help="t_min:t_max:n_points")
-    sim.add_argument("--paths", type=int, required=True)
+    sim.add_argument("--paths", type=positive_int, required=True)
     sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--stream", type=int, default=0)
     sim.add_argument("--tail-tol", type=float, default=1e-3,
@@ -167,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--H", type=float, default=0.7)
-    ver.add_argument("--paths", type=int, default=600)
+    ver.add_argument("--paths", type=positive_int, default=600)
     ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--x0", default="x-infinity",
                      help="initial condition for the stationarity suite")

@@ -2,7 +2,7 @@
 
 The workhorse is the energy two-sample test with permutation
 calibration; it backs every equality-in-law claim checked by the
-package.  `trace_trend` classifies the growth of a sequence of traces.
+package.
 """
 
 from dataclasses import dataclass
@@ -99,22 +99,3 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
     p = (count + 1) / (n_perm + 1)
     return TwoSampleReport(float(stats[0]), float(p), n_perm, level)
 
-
-def trace_trend(traces, t_grid, growth_tol: float = 0.1) -> dict:
-    """Classify a Tr q_t sequence as bounded or growing like t^gamma.
-
-    Fits the log-log slope over the second half of the grid; verdict is
-    'bounded' when the fitted exponent is below growth_tol.
-    """
-    t = np.asarray(t_grid, float)
-    y = np.asarray(traces, float)
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("t_grid must be increasing")
-    if np.allclose(y, 0.0):
-        return {"traces": y, "exponent": 0.0, "verdict": "bounded"}
-    half = len(t) // 2
-    tt, yy = t[half:], y[half:]
-    mask = yy > 0
-    slope = float(np.polyfit(np.log(tt[mask]), np.log(yy[mask]), 1)[0])
-    verdict = "bounded" if slope < growth_tol else f"growing like t^{slope:.3f}"
-    return {"traces": y, "exponent": slope, "verdict": verdict}

@@ -134,7 +134,7 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
     """
     if grid.t_min != 0.0:
         raise ConfigError("solution grid must start at t = 0")
-    value, ok = check_H(spec, T0=1.0)
+    value, ok = check_H(spec)
     if not ok:
         raise ConfigError(f"Hypothesis-(H) integral not finite (value {value})")
     use_past = isinstance(spec.x0, str) and spec.x0 == "x-infinity"
@@ -152,7 +152,7 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
             raise ConfigError("x0 vector must match the number of modes")
         decay = np.exp(-np.outer(times, spec.lambdas))  # (n_t, n_modes)
         out += (decay * x0[None, :])[:, :, None]
-    return Ensemble(grid, out, tag="mild")
+    return Ensemble(grid, out)
 
 
 def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
@@ -163,25 +163,6 @@ def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
         raise ConfigError("limiting-measure condition fails; x_infinity undefined")
     grid = GridSpec(-t_trunc, 0.0, max(2, int(round(t_trunc / dt)) + 1))
     return _convolve_noise(spec, np.zeros(1), grid, n_paths, seed)[0]
-
-
-def x_infinity_truncation_error(spec: EquationSpec, t_trunc: float) -> float:
-    """Exact L2 truncation error of the x_infinity sampler.
-
-    E |Z''_inf - Z''_T|^2 = sum_n |Phi row|^2 H(2H-1) Gamma(2H-1)
-    lambda_n^(-2H) exp(-2 lambda_n T), from the closed form of the
-    double exponential integral of |u - v|^(2H-2) over (T, inf)^2.
-    """
-    H = spec.noise.H
-    c = H * (2.0 * H - 1.0) * math.gamma(2.0 * H - 1.0)
-    rows = np.sum(spec.phi_matrix ** 2, axis=1)
-    lam = spec.lambdas
-    if np.any((lam <= 0) & (rows > 0)):
-        return math.inf
-    live = rows > 0
-    return float(np.sum(
-        rows[live] * c * lam[live] ** (-2.0 * H)
-        * np.exp(-2.0 * lam[live] * t_trunc)))
 
 
 def covariance_qt(spec: EquationSpec, t: float) -> np.ndarray:
@@ -233,29 +214,20 @@ def _exp_mass(c: np.ndarray, length: float) -> np.ndarray:
     return np.where(pos, -np.expm1(-c * length) / np.where(pos, c, 1.0), length)
 
 
-def mean_square_increment(spec: EquationSpec, s: float, t: float) -> float:
-    """E |Z_t - Z_s|^2 = Tr q_t + Tr q_s - 2 Tr g(t, s), all by quadrature."""
-    return float(
-        np.trace(covariance_qt(spec, t)) + np.trace(covariance_qt(spec, s))
-        - 2.0 * np.trace(covariance_g(spec, t, s)))
-
-
 def hs_norm_sq(spec: EquationSpec, r: float) -> float:
     """|S(r) Phi|_HS^2 = sum_{n,k} e^{-2 lambda_n r} Phi_nk^2."""
     rows = np.sum(spec.phi_matrix ** 2, axis=1)
     return float(np.sum(rows * np.exp(-2.0 * spec.lambdas * r)))
 
 
-def check_H(spec: EquationSpec, T0: float = 1.0) -> tuple:
-    """(value, finite?) of int_0^T0 |S(r) Phi|_HS^(2/(1+2 alpha)) dr."""
-    if T0 <= 0:
-        raise ValueError("need T0 > 0")
+def check_H(spec: EquationSpec) -> tuple:
+    """(value, finite?) of int_0^1 |S(r) Phi|_HS^(2/(1+2 alpha)) dr."""
     p = 1.0 / (1.0 + 2.0 * spec.noise.alpha)
 
     def f(r):
         return hs_norm_sq(spec, r) ** p
 
-    val, err = integrate.quad(f, 0.0, T0, epsabs=0.0, epsrel=1e-10,
+    val, err = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
                               limit=200)
     _check_estimate("check_H", val, err)
     return float(val), bool(np.isfinite(val))

@@ -45,15 +45,6 @@ class StepFunction:
             out = self.values[j]
         return out
 
-    def scaled(self, c):
-        return StepFunction(self.breakpoints, c * self.values)
-
-    def lp_norm_sq(self, p: float) -> float:
-        """Squared L^p norm of |f|_V (the embedding side of the D-norm bound)."""
-        mags = np.linalg.norm(self.values, axis=1)
-        widths = np.diff(self.breakpoints)
-        return float(np.sum(mags ** p * widths) ** (2.0 / p))
-
 
 def kstar(kernel: VolterraKernel, f: StepFunction, r: float) -> np.ndarray:
     """(K* f)(r); telescopes through the kernel antiderivative for steps."""
@@ -70,13 +61,13 @@ def kstar(kernel: VolterraKernel, f: StepFunction, r: float) -> np.ndarray:
 
 
 def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
-              check: bool = True, check_rtol: float = 1e-3) -> float:
+              check: bool = True) -> float:
     """Squared D-norm of a step function.
 
     Primary route: the phi double integral, which for steps is the
     bilinear sum of increment covariances.  When check is set the L2
-    norm of K* f is also computed by quadrature and a discrepancy above
-    check_rtol raises ConsistencyError.
+    norm of K* f is also computed by quadrature and a relative
+    discrepancy above 1e-3 raises ConsistencyError.
     """
     bp = f.breakpoints
     vals = f.values
@@ -90,7 +81,7 @@ def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
     if check:
         other = _kstar_l2_sq(kernel, f)
         scale = max(abs(total), abs(other), 1e-12)
-        if abs(total - other) > check_rtol * scale:
+        if abs(total - other) > 1e-3 * scale:
             raise ConsistencyError(
                 "phi-form and K*-form of the D-norm disagree",
                 values=(total, other))
@@ -98,11 +89,13 @@ def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
 
 
 def _kstar_l2_sq(kernel: VolterraKernel, f: StepFunction) -> float:
-    """int |K* f(r)|^2 dr with adaptive lower truncation.
+    """int |K* f(r)|^2 dr: one quad over the support, one over the tail.
 
-    The integrand decays like (-r)^(2 alpha - 2), so the truncated tail
-    is bounded by |K* f(-L)|^2 L / (1 - 2 alpha) and L is doubled until
-    the bound is negligible.
+    The tail r = bp[0] - w is mapped by sigma = (1 + w)^(2 alpha - 1) as
+    in cov_R_quadrature, and held beyond w_far, where its bias (about
+    span / w) meets the rounding of the eval differences in K* f (about
+    eps w / shortest piece).  The estimate adds the quad errors and twice
+    the held value's change from w_far to 2 w_far over (0, sigma_far).
     """
     bp = f.breakpoints
 
@@ -110,24 +103,25 @@ def _kstar_l2_sq(kernel: VolterraKernel, f: StepFunction) -> float:
         w = kstar(kernel, f, r)
         return float(w @ w)
 
-    pts = list(bp)
-    L = abs(bp[0]) + 10.0
-    total, err = integrate.quad(g, bp[0], bp[-1], points=pts[1:-1] or None,
-                                limit=200)
-    val, e = integrate.quad(g, -L, bp[0], limit=200)
-    total += val
-    err += e
-    for _ in range(60):
-        tail = g(-L) * L / (1.0 - 2.0 * kernel.alpha)
-        if tail <= 1e-9 * max(abs(total), 1e-300):
-            break
-        val, e = integrate.quad(g, -2.0 * L, -L, limit=100)
-        total += val
-        err += e
-        L *= 2.0
-    else:
-        raise QuadratureError("K* L2 norm: tail did not converge",
-                              value=total, estimate=tail)
+    p = 2.0 * kernel.alpha - 1.0
+
+    def mapped(w):
+        return g(bp[0] - w) * (1.0 + w) ** (1.0 - p) / -p
+
+    w_far = np.sqrt((bp[-1] - bp[0]) * np.diff(bp).min()
+                    / np.finfo(float).eps)
+    sigma_far = (1.0 + w_far) ** p
+    head, err = integrate.quad(g, bp[0], bp[-1], epsabs=0.0, epsrel=1e-8,
+                               points=bp[1:-1] if len(bp) > 2 else None,
+                               limit=200)
+    tail, e = integrate.quad(
+        lambda sigma: mapped(max(sigma, sigma_far) ** (1.0 / p) - 1.0),
+        0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
+    total = head + tail
+    err += e + 2.0 * sigma_far * abs(mapped(w_far) - mapped(2.0 * w_far))
+    if err > 1e-6 * abs(total):
+        raise QuadratureError("K* L2 norm above tolerance",
+                              value=total, estimate=err)
     return total
 
 
@@ -188,12 +182,6 @@ def _cell_averages(fn, edges: np.ndarray) -> np.ndarray:
     return np.array(rows)
 
 
-def step_approximation(fn, s: float, t: float, n_sub: int) -> StepFunction:
-    """Cell-average step approximation of a general integrand on [s, t)."""
-    edges = np.linspace(s, t, n_sub + 1)
-    return StepFunction(edges, _cell_averages(fn, edges))
-
-
 def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndarray:
     """int_s^t fn(r) db_r via an n_sub-cell step approximation."""
     if not s < t:
@@ -212,14 +200,13 @@ def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndar
 
 
 def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
-                         level: float = 0.01, n_perm: int = 200,
                          seed: int = 0):
     """Two-sample reports for the three equal-in-law integrals.
 
     int_0^t f(t-r) db_r, int_0^t f(r) db_r and int_{-t}^0 f(-u) db_u are
     evaluated on disjoint thirds of the ensemble so the pairwise energy
-    tests compare independent samples.  Level is Bonferroni-corrected
-    across the three pairs.
+    tests compare independent samples.  The level 0.01 is
+    Bonferroni-corrected across the three pairs.
     """
     from .diagnostics import energy_two_sample
     from .processes import Ensemble
@@ -231,7 +218,7 @@ def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
     thirds = [slice(0, n // 3), slice(n // 3, 2 * n // 3), slice(2 * n // 3, n)]
 
     def sub(sl):
-        return Ensemble(grid, ensemble.values[:, sl], tag=ensemble.tag)
+        return Ensemble(grid, ensemble.values[:, sl])
 
     conv = definite_integral(lambda r: fn(t - r), 0.0, t, sub(thirds[0]), n_sub)
     plain = definite_integral(fn, 0.0, t, sub(thirds[1]), n_sub)
@@ -239,11 +226,11 @@ def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
     samples = {"convolution": conv.T, "plain": plain.T, "reflected": refl.T}
     names = list(samples)
     reports = {}
-    adj = level / 3.0
+    adj = 0.01 / 3.0
     for i in range(3):
         for j in range(i + 1, 3):
             key = f"{names[i]}|{names[j]}"
             reports[key] = energy_two_sample(
                 samples[names[i]], samples[names[j]],
-                n_perm=n_perm, level=adj, seed=seed + 7 * i + j)
+                level=adj, seed=seed + 7 * i + j)
     return reports

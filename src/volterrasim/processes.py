@@ -69,7 +69,6 @@ class Ensemble:
 
     grid: GridSpec
     values: np.ndarray
-    tag: str = "custom"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, float)
@@ -89,9 +88,6 @@ class Ensemble:
         """Values of all paths at (snapped) time t."""
         return self.values[self.grid.index_of(t)]
 
-    def increments(self, s: float, t: float) -> np.ndarray:
-        return self.at(t) - self.at(s)
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("t," + ",".join(f"path_{p}" for p in range(self.n_paths)))
@@ -100,12 +96,12 @@ class Ensemble:
                 fh.write(f"{t!r},{','.join(map(repr, row))}\n")
 
 
-def ensemble_from_csv(path, tag: str = "custom") -> Ensemble:
+def ensemble_from_csv(path) -> Ensemble:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     times = data[:, 0]
     grid = GridSpec(float(times[0]), float(times[-1]), len(times))
-    return Ensemble(grid, data[:, 1:], tag=tag)
+    return Ensemble(grid, data[:, 1:])
 
 
 def fbm_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
@@ -148,7 +144,7 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
     # one mat-vec per path: a blocked GEMM reorders its reduction with the
     # batch width, so a path would depend on the batch it is simulated in
     values[live] = np.matvec(L, Z.T).T
-    return Ensemble(grid, values, tag="fbm")
+    return Ensemble(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +209,17 @@ class RosenblattScheme:
 
     @classmethod
     def for_grid(cls, grid: GridSpec, H: float, tail_tol: float = 1e-3,
-                 substeps: int = 4, stretch: float = 1.3) -> "RosenblattScheme":
-        """Build a scheme whose truncated-tail variance bound is < tail_tol."""
+                 substeps: int = 4) -> "RosenblattScheme":
+        """Build a scheme whose truncated-tail variance bound is < tail_tol.
+
+        The far cells grow geometrically by a factor 1.3.
+        """
+        if not 0.5 < H < 1.0:
+            raise ConfigError(f"H must lie in (1/2, 1), got {H}")
+        if substeps < 1:
+            raise ConfigError(f"substeps must be at least 1, got {substeps}")
+        if not tail_tol > 0.0:
+            raise ConfigError(f"tail_tol must be positive, got {tail_tol}")
         span = grid.t_max - grid.t_min
         dy = grid.dt / substeps
         near_lo = grid.t_min - 1.0
@@ -229,7 +234,7 @@ class RosenblattScheme:
         far = [near_lo]
         step = dy
         while far[-1] > near_lo - depth:
-            step *= stretch
+            step *= 1.3
             far.append(far[-1] - step)
             if len(far) > 4000:
                 raise ConfigError("chaos grid construction did not terminate")
@@ -306,7 +311,7 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
     i0 = grid.index_of(0.0) if grid.t_min <= 0.0 <= grid.t_max else 0
     values = scheme.A_H * (at_edges - at_edges[i0])
     values[i0] = 0.0
-    return Ensemble(grid, values, tag="rosenblatt")
+    return Ensemble(grid, values)
 
 
 def rosenblatt_grid_covariance(grid: GridSpec, scheme: RosenblattScheme) -> np.ndarray:
@@ -436,37 +441,3 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     sig = rosenblatt_sigma(H)
     return 2.0 ** (k - 1) * math.factorial(k - 1) * sig ** k * s_extrap
 
-
-# ---------------------------------------------------------------------------
-# Increment stationarity report
-# ---------------------------------------------------------------------------
-
-def check_increment_stationarity(ensemble: Ensemble, intervals, shifts,
-                                 level: float = 0.01, n_perm: int = 200,
-                                 seed: int = 0, reflexive: bool = False):
-    """Two-sample tests of increment vectors at shift 0 vs each shift h.
-
-    Paths are split into disjoint halves so the two samples are
-    independent; the level is Bonferroni-corrected across shifts.
-    Returns a list of TwoSampleReport.
-    """
-    from .diagnostics import energy_two_sample
-
-    n = ensemble.n_paths
-    half = n // 2
-    base = np.column_stack(
-        [ensemble.increments(s, t)[:half] for s, t in intervals])
-    shifts = list(shifts)
-    adj_level = level / max(len(shifts), 1)
-    reports = []
-    for j, h in enumerate(shifts):
-        if reflexive:
-            other = np.column_stack(
-                [(ensemble.at(-s) - ensemble.at(-t))[half:] for s, t in intervals])
-        else:
-            other = np.column_stack(
-                [ensemble.increments(s + h, t + h)[half:] for s, t in intervals])
-        reports.append(
-            energy_two_sample(base, other, n_perm=n_perm, level=adj_level,
-                              seed=seed + j))
-    return reports

@@ -9,6 +9,7 @@ from the command line.
 import numpy as np
 
 from .diagnostics import energy_statistic, energy_two_sample
+from .errors import ConfigError
 from .integration import StepFunction, check_law_symmetries, d_norm_sq, \
     integrate_step
 from .kernels import FbmKernel, check_regularity, phi_quadrature
@@ -28,22 +29,21 @@ def default_equation(H: float, x0=None):
     return EquationSpec(lambdas, phi_matrix, NoiseSpec(("fbm",), H), x0=x0)
 
 
-def suite_kernel(H_values=(0.55, 0.7, 0.9), n_pairs: int = 25,
-                 rtol: float = 1e-4, seed: int = 0):
+def suite_kernel():
     lines = []
     ok = True
-    rng = substream(seed, 101)
-    for H in H_values:
+    rng = substream(0, 101)
+    for H in (0.55, 0.7, 0.9):
         kernel = FbmKernel(H)
         worst = 0.0
-        for _ in range(n_pairs):
+        for _ in range(25):
             u, v = rng.uniform(-5.0, 5.0, size=2)
             if abs(u - v) < 1e-3:
                 v = u + 1e-3
             quad = phi_quadrature(kernel, u, v)
             closed = kernel.phi_closed_form(u, v)
             worst = max(worst, abs(quad - closed) / abs(closed))
-        good = worst <= rtol
+        good = worst <= 1e-4
         ok &= good
         lines.append(f"phi quadrature vs closed form H={H}: "
                      f"max rel err {worst:.2e} ({'pass' if good else 'FAIL'})")
@@ -56,23 +56,26 @@ def suite_kernel(H_values=(0.55, 0.7, 0.9), n_pairs: int = 25,
     return ok, lines
 
 
-def _random_step_function(rng, lo=-1.0, hi=1.5, max_pieces=4, dim=1):
-    n = int(rng.integers(1, max_pieces + 1))
-    bp = np.sort(rng.uniform(lo, hi, size=n + 1))
+def _random_step_function(rng):
+    n = int(rng.integers(1, 5))
+    bp = np.sort(rng.uniform(-1.0, 1.5, size=n + 1))
     while np.any(np.diff(bp) < 0.05):
-        bp = np.sort(rng.uniform(lo, hi, size=n + 1))
-    vals = rng.uniform(-2.0, 2.0, size=(n, dim))
+        bp = np.sort(rng.uniform(-1.0, 1.5, size=n + 1))
+    vals = rng.uniform(-2.0, 2.0, size=(n, 1))
     return StepFunction(bp, vals)
 
 
-def suite_isometry(H: float, n_paths: int, seed: int, n_funcs: int = 5):
+def suite_isometry(H: float, n_paths: int, seed: int):
+    if n_paths < 2:
+        raise ConfigError(f"the isometry suite needs at least 2 paths, "
+                          f"got {n_paths}")
     kernel = FbmKernel(H)
     grid = GridSpec(-2.0, 2.0, 401)
     ens = simulate_fbm(grid, H, n_paths, seed)
     rng = substream(seed, 202)
     lines = []
     ok = True
-    for i in range(n_funcs):
+    for i in range(5):
         f = _random_step_function(rng)
         f = StepFunction(np.array([grid.times[grid.index_of(b)]
                                    for b in f.breakpoints]), f.values)
@@ -87,7 +90,7 @@ def suite_isometry(H: float, n_paths: int, seed: int, n_funcs: int = 5):
     return ok, lines
 
 
-def suite_law_symmetry(H: float, n_paths: int, seed: int, level: float = 0.01):
+def suite_law_symmetry(H: float, n_paths: int, seed: int):
     grid = GridSpec(-1.0, 1.0, 201)
     drivers = {
         "fbm": simulate_fbm(grid, H, n_paths, seed),
@@ -102,16 +105,14 @@ def suite_law_symmetry(H: float, n_paths: int, seed: int, level: float = 0.01):
     ok = True
     for dname, ens in drivers.items():
         for fno, (fname, fn) in enumerate(integrands.items()):
-            reports = check_law_symmetries(fn, 1.0, ens, level=level,
-                                           seed=seed + 31 * fno)
+            reports = check_law_symmetries(fn, 1.0, ens, seed=seed + 31 * fno)
             for key, rep in reports.items():
                 ok &= rep.passed
                 lines.append(f"law symmetry {dname}/{fname} {key}: {rep}")
     return ok, lines
 
 
-def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity",
-                       level: float = 0.01):
+def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity"):
     from .evolution import solve_mild
 
     spec = default_equation(H, x0=x0)
@@ -127,7 +128,7 @@ def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity",
 
     base = joint(base_times, slice(0, half))
     shifted = joint(tuple(t + h for t in base_times), slice(half, n))
-    rep = energy_two_sample(base, shifted, level=level, seed=seed)
+    rep = energy_two_sample(base, shifted, seed=seed)
     line = f"joint law at {base_times} vs shift h={h}: {rep}"
     return rep.passed, [line]
 
@@ -154,12 +155,13 @@ def suite_limit(H: float, n_paths: int, seed: int):
     return ok, lines
 
 
-def suite_criteria(eps: float = 1e-6):
+def suite_criteria():
     from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
         shift_trace_criterion
 
     lines = []
     ok = True
+    eps = 1e-6
     for H in (0.6, 0.75, 0.9):
         thr = H + 0.5
         below = shift_trace_criterion(thr - eps, H)["exists"]

@@ -107,6 +107,21 @@ class TestSimulate:
     def test_missing_required_flag(self):
         assert run("simulate", "--process", "fbm") == 2
 
+    @pytest.mark.parametrize("process, flag, value, word", [
+        ("rosenblatt", "--substeps", "0", "substeps"),
+        ("rosenblatt", "--tail-tol", "0", "tail_tol"),
+        ("rosenblatt", "--H", "0.3", "H must lie in (1/2, 1)"),
+        ("fbm", "--paths", "0", "--paths"),
+        ("rosenblatt", "--paths", "0", "--paths"),
+    ])
+    def test_bad_value_is_usage_error_with_a_clear_message(
+            self, tmp_path, capsys, process, flag, value, word):
+        # the last occurrence of a repeated flag wins
+        assert run("simulate", "--process", process, "--H", "0.75",
+                   "--grid", "0:1:11", "--paths", "3", "--seed", "1",
+                   "--out", str(tmp_path / "x"), flag, value) == 2
+        assert word in capsys.readouterr().err
+
 
 class TestVerify:
     def test_kernel_suite_needs_no_seed(self, capsys):
@@ -133,6 +148,24 @@ class TestVerify:
         # overwrite protection on the report too
         assert run("verify", "--suite", "isometry", "--seed", "4",
                    "--paths", "400", "--out", str(out)) == 2
+
+    def test_existing_report_refused_before_the_suite_runs(self, tmp_path,
+                                                          capsys):
+        (tmp_path / "verify_isometry.txt").write_text("old\n")
+        assert run("verify", "--suite", "isometry", "--seed", "4",
+                   "--out", str(tmp_path)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "exists" in err
+        assert (tmp_path / "verify_isometry.txt").read_text() == "old\n"
+
+    @pytest.mark.parametrize("paths", ["0", "1"])
+    def test_isometry_needs_two_paths(self, capsys, paths):
+        assert run("verify", "--suite", "isometry", "--seed", "4",
+                   "--paths", paths) == 2
+        out, err = capsys.readouterr()
+        assert "suite result" not in out
+        assert "paths" in err
 
     def test_unknown_suite_is_usage_error(self):
         assert run("verify", "--suite", "nope") == 2

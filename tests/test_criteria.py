@@ -20,7 +20,6 @@ class TestExamples:
     def test_shift_threshold(self):
         ex = ShiftExample(beta=1.3, H=0.7)
         assert ex.threshold == pytest.approx(1.2)
-        assert ex.alpha == pytest.approx(0.2)
 
     def test_shift_validation(self):
         with pytest.raises(ValueError):

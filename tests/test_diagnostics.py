@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
 
-from volterrasim.diagnostics import (
-    energy_statistic,
-    energy_two_sample,
-    trace_trend,
-)
+from volterrasim.diagnostics import energy_statistic, energy_two_sample
 from volterrasim.rng import substream
 
 
@@ -107,9 +103,10 @@ class TestEnergyTwoSample:
         a = energy_two_sample(X, Y, seed=9)
         b = energy_two_sample(X, Y, seed=9)
         assert a.p_value == b.p_value
-        # swapping the samples relabels indices only
+        # swapping the samples keeps the statistic; the p-value may move,
+        # because the same shuffles then label other observations
         c = energy_two_sample(Y, X, seed=9)
-        assert c.p_value == a.p_value
+        assert c.statistic == pytest.approx(a.statistic, rel=1e-12)
 
     def test_constant_samples_trivially_equal(self):
         X = np.zeros((60, 1))
@@ -185,23 +182,3 @@ class TestAgainstPermutationLoop:
         assert p1 == p2
         assert stat2 == pytest.approx(stat1, rel=1e-12)
 
-
-class TestTraceTrend:
-    def test_bounded(self):
-        t = np.linspace(1.0, 10.0, 20)
-        y = 2.0 - np.exp(-t)
-        assert trace_trend(y, t)["verdict"] == "bounded"
-
-    def test_growing(self):
-        t = np.linspace(1.0, 10.0, 20)
-        out = trace_trend(t ** 1.4, t)
-        assert out["exponent"] == pytest.approx(1.4, abs=1e-6)
-        assert out["verdict"].startswith("growing")
-
-    def test_zero_traces(self):
-        assert trace_trend(np.zeros(5), np.arange(1.0, 6.0))["verdict"] == \
-            "bounded"
-
-    def test_bad_grid(self):
-        with pytest.raises(ValueError):
-            trace_trend([1.0, 2.0], [2.0, 1.0])

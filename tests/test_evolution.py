@@ -15,10 +15,8 @@ from volterrasim.evolution import (
     covariance_qt,
     hs_norm_sq,
     load_equation_config,
-    mean_square_increment,
     sample_x_infinity,
     solve_mild,
-    x_infinity_truncation_error,
 )
 from volterrasim.kernels import fbm_cov
 from volterrasim.processes import GridSpec
@@ -140,13 +138,6 @@ class TestClosedForms:
         # a stiff mode: quad's default absolute tolerance was 1e-6 of this
         assert check_H(unit_spec(H, 500.0))[1]
 
-    def test_truncation_error_formula(self):
-        H, lam, T = 0.7, 1.0, 5.0
-        spec = unit_spec(H, lam)
-        expected = (H * (2 * H - 1) * math.gamma(2 * H - 1)
-                    * lam ** (-2 * H) * math.exp(-2 * lam * T))
-        assert x_infinity_truncation_error(spec, T) == pytest.approx(expected)
-
 
 class TestCovarianceOracles:
     def test_qt_symmetry_and_positivity(self):
@@ -165,10 +156,6 @@ class TestCovarianceOracles:
         spec = unit_spec()
         np.testing.assert_allclose(covariance_g(spec, 1.0, 1.0),
                                    covariance_qt(spec, 1.0), rtol=1e-8)
-
-    def test_mean_square_increment_positive(self):
-        spec = unit_spec()
-        assert mean_square_increment(spec, 0.5, 1.0) > 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):

@@ -4,16 +4,30 @@ import pytest
 from volterrasim.errors import AlignmentError, ConsistencyError, QuadratureError
 from volterrasim.integration import (
     StepFunction,
+    _kstar_l2_sq,
     check_law_symmetries,
     d_norm_sq,
     definite_integral,
     inner_product_quadrature,
     integrate_step,
     kstar,
-    step_approximation,
 )
 from volterrasim.kernels import FbmKernel, cov_R
 from volterrasim.processes import Ensemble, GridSpec
+from volterrasim.rng import substream
+from volterrasim.suites import _random_step_function
+
+
+def isometry_suite_functions(seed):
+    """The five step functions of suite_isometry(..., seed), on its grid."""
+    grid = GridSpec(-2.0, 2.0, 401)
+    rng = substream(seed, 202)
+    out = []
+    for _ in range(5):
+        f = _random_step_function(rng)
+        out.append(StepFunction([grid.times[grid.index_of(b)]
+                                 for b in f.breakpoints], f.values))
+    return out
 
 
 class TestStepFunction:
@@ -28,15 +42,6 @@ class TestStepFunction:
         f = StepFunction([0.0, 1.0], [[1.0, 2.0]])
         assert f.dim == 2
         np.testing.assert_allclose(f(0.5), [1.0, 2.0])
-
-    def test_scaled(self):
-        f = StepFunction([0.0, 1.0], [[2.0]])
-        assert f.scaled(3.0)(0.5) == pytest.approx(6.0)
-
-    def test_lp_norm(self):
-        f = StepFunction([0.0, 2.0], [[3.0]])
-        # (|3|^p * 2)^(2/p) with p = 2
-        assert f.lp_norm_sq(2.0) == pytest.approx(18.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -97,12 +102,28 @@ class TestDNorm:
         with pytest.raises(ConsistencyError):
             d_norm_sq(bad, f, check=True)
 
+    def test_check_passes_at_H_09(self):
+        # f#3 of verify --suite isometry --seed 4: the K* route used to be
+        # 1.08e-3 off here, beyond the check's 1e-3
+        f = isometry_suite_functions(4)[3]
+        assert d_norm_sq(FbmKernel(0.9), f, check=True) == pytest.approx(
+            d_norm_sq(FbmKernel(0.9), f, check=False))
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_kstar_route_matches_cov_R(self, H):
+        k = FbmKernel(H)
+        for f in isometry_suite_functions(4):
+            assert _kstar_l2_sq(k, f) == pytest.approx(
+                d_norm_sq(k, f, check=False), rel=1e-6)
+
     def test_lp_embedding_bound(self):
         # ||f||_D^2 <= C ||f||_{L^p}^2 for p = 1/H; spot check for fBm
         H = 0.7
         k = FbmKernel(H)
         f = StepFunction([0.0, 0.7, 1.3, 2.0], [[1.0], [-0.5], [2.0]])
-        assert d_norm_sq(k, f) <= 10.0 * f.lp_norm_sq(1.0 / H)
+        lp_sq = np.sum(np.abs(f.values[:, 0]) ** (1.0 / H)
+                       * np.diff(f.breakpoints)) ** (2.0 * H)
+        assert d_norm_sq(k, f) <= 10.0 * lp_sq
 
 
 class TestInnerProductQuadrature:
@@ -130,7 +151,8 @@ class TestPathwiseIntegral:
     def test_indicator_integral_is_increment(self, fbm_ensemble):
         f = StepFunction([0.0, 1.0], [[1.0]])
         out = integrate_step(f, fbm_ensemble)
-        np.testing.assert_allclose(out[0], fbm_ensemble.increments(0.0, 1.0))
+        np.testing.assert_allclose(
+            out[0], fbm_ensemble.at(1.0) - fbm_ensemble.at(0.0))
 
     def test_one_dimensional_values_are_one_path(self):
         ens = Ensemble(GridSpec(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
@@ -151,23 +173,12 @@ class TestPathwiseIntegral:
     def test_constant_integrand(self, fbm_ensemble):
         out = definite_integral(lambda r: 1.0, -1.0, 1.0, fbm_ensemble)
         np.testing.assert_allclose(
-            out[0], fbm_ensemble.increments(-1.0, 1.0), rtol=1e-10, atol=1e-12)
+            out[0], fbm_ensemble.at(1.0) - fbm_ensemble.at(-1.0), rtol=1e-10,
+            atol=1e-12)
 
     def test_window_validation(self, fbm_ensemble):
         with pytest.raises(ValueError):
             definite_integral(lambda r: 1.0, 1.0, 0.0, fbm_ensemble)
-
-
-class TestStepApproximation:
-    def test_converges_to_smooth_function(self):
-        f = step_approximation(np.exp, 0.0, 1.0, 200)
-        x = np.linspace(0.01, 0.99, 50)
-        err = max(abs(f(xi)[0] - np.exp(xi)) for xi in x)
-        assert err < 0.01
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            step_approximation(lambda r: np.inf, 0.0, 1.0, 8)
 
 
 class TestIsometry:

@@ -13,7 +13,6 @@ from volterrasim.kernels import (
     cov_R_quadrature,
     fbm_cov,
     fbm_normalizing_constant,
-    holder_bound_constant,
     phi,
     phi_quadrature,
 )
@@ -173,13 +172,6 @@ def test_check_regularity_flags_violation():
 def test_check_regularity_rejects_bad_pairs():
     with pytest.raises(ValueError):
         check_regularity(FbmKernel(0.7), [(0.0, 1.0)])
-
-
-def test_holder_bound_constant_is_sharp_for_fbm():
-    # E(b_t - b_s)^2 = (t-s)^(2H) for fBm, so the constant is exactly 1
-    for H in (0.55, 0.7, 0.9):
-        assert holder_bound_constant(FbmKernel(H)) == pytest.approx(1.0,
-                                                                    rel=1e-12)
 
 
 def test_kernel_parameter_validation():

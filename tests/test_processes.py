@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from volterrasim.diagnostics import energy_two_sample
 from volterrasim.errors import AlignmentError, ConfigError, QuadratureError
 from volterrasim.kernels import fbm_cov
 from volterrasim.processes import (
@@ -9,7 +10,6 @@ from volterrasim.processes import (
     Ensemble,
     GridSpec,
     RosenblattScheme,
-    check_increment_stationarity,
     ensemble_from_csv,
     fbm_covariance_matrix,
     rosenblatt_cumulant,
@@ -68,10 +68,6 @@ class TestEnsemble:
         a[0, 0] = 1.0
         with pytest.raises(ValueError):
             ens.values[0, 0] = 1.0
-
-    def test_increments(self, fbm_ensemble):
-        inc = fbm_ensemble.increments(0.0, 1.0)
-        assert inc.shape == (fbm_ensemble.n_paths,)
 
 
 def test_unknown_process_rejected():
@@ -238,14 +234,29 @@ class TestCumulants:
             CumulantSpec(((0.0, 1.0),), (1.0, 2.0), 2)
 
 
+
+def _increments(ens, intervals, paths):
+    return np.column_stack([(ens.at(t) - ens.at(s))[paths]
+                            for s, t in intervals])
+
+
 def test_increment_stationarity_fbm(fbm_ensemble):
-    reports = check_increment_stationarity(
-        fbm_ensemble, intervals=[(0.0, 0.5)], shifts=[0.25, 0.5], seed=17)
-    assert all(r.passed for r in reports)
+    # shifted increments on the other half of the paths, Bonferroni over
+    # the two shifts
+    half = slice(0, fbm_ensemble.n_paths // 2)
+    rest = slice(fbm_ensemble.n_paths // 2, None)
+    base = _increments(fbm_ensemble, [(0.0, 0.5)], half)
+    for j, h in enumerate((0.25, 0.5)):
+        other = _increments(fbm_ensemble, [(h, 0.5 + h)], rest)
+        assert energy_two_sample(base, other, level=0.005,
+                                 seed=17 + j).passed
 
 
 def test_increment_reflexivity_fbm(fbm_ensemble):
-    reports = check_increment_stationarity(
-        fbm_ensemble, intervals=[(0.0, 0.5), (0.5, 1.0)], shifts=[0.0],
-        seed=18, reflexive=True)
-    assert all(r.passed for r in reports)
+    # b_t - b_s has the law of b_{-s} - b_{-t}
+    intervals = [(0.0, 0.5), (0.5, 1.0)]
+    half = slice(0, fbm_ensemble.n_paths // 2)
+    rest = slice(fbm_ensemble.n_paths // 2, None)
+    base = _increments(fbm_ensemble, intervals, half)
+    other = _increments(fbm_ensemble, [(-t, -s) for s, t in intervals], rest)
+    assert energy_two_sample(base, other, seed=18).passed
