@@ -67,7 +67,7 @@ def cmd_simulate(args) -> int:
 
     grid_args = (grid.t_min, grid.t_max, grid.n_points)
     blocks = []
-    workers = max(1, args.workers)
+    workers = args.workers
     chunk = -(-args.paths // workers)  # ceil division
     jobs = []
     offset = 0
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
-    sim.add_argument("--workers", type=int, default=1,
+    sim.add_argument("--workers", type=positive_int, default=1,
                      help="parallel path blocks (results independent of it)")
     sim.set_defaults(func=cmd_simulate)
 
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--H", type=float, default=0.7)
     ver.add_argument("--paths", type=positive_int, default=600)
     ver.add_argument("--seed", type=int, default=None)
-    ver.add_argument("--x0", default="x-infinity",
+    ver.add_argument("--x0", choices=("x-infinity",), default="x-infinity",
                      help="initial condition for the stationarity suite")
     ver.add_argument("--out", default=None, help="report directory")
     ver.add_argument("--force", action="store_true")

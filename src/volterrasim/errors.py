@@ -19,7 +19,7 @@ class QuadratureError(VolterraError):
 
 
 class FactorizationError(VolterraError):
-    """Covariance matrix could not be factorized even after jitter."""
+    """A covariance's circulant embedding is not positive semidefinite."""
 
 
 class AlignmentError(VolterraError):

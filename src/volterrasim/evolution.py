@@ -170,6 +170,23 @@ def covariance_qt(spec: EquationSpec, t: float) -> np.ndarray:
     return covariance_g(spec, t, t)
 
 
+def covariance_q_infinity(spec: EquationSpec) -> np.ndarray:
+    """q_inf = lim q_t, the covariance of x_infinity, in closed form.
+
+    q_inf[i, j] = (Phi Phi^T)_ij H (2H-1) Gamma(2H-1)
+    (lam_i^(1-2H) + lam_j^(1-2H)) / (lam_i + lam_j), from
+    int_0^inf exp(-a w) w^(2H-2) dw = Gamma(2H-1) a^(1-2H).
+    """
+    if np.any(spec.lambdas <= 0.0):
+        raise ConfigError("q_inf needs every lambda positive")
+    H = spec.noise.H
+    lam_i, lam_j = spec.lambdas[:, None], spec.lambdas[None, :]
+    return (spec.phi_matrix @ spec.phi_matrix.T) \
+        * H * (2.0 * H - 1.0) * math.gamma(2.0 * H - 1.0) \
+        * (lam_i ** (1.0 - 2.0 * H) + lam_j ** (1.0 - 2.0 * H)) \
+        / (lam_i + lam_j)
+
+
 def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
     """g(r, s)[i, j] = E <Z_r, e_i> <Z_s, e_j> as one integral over w = u - v.
 

@@ -1,25 +1,27 @@
 """Sample-path ensembles of two-sided fBm and Rosenblatt processes.
 
-fBm paths come from a dense factorization of the exact two-sided
-covariance on the grid.  Rosenblatt paths discretize the second-order
-Wiener-Ito integral: the time integral of the product kernel is reduced
-to an off-diagonal quadratic form in independent Gaussian cell
-increments, with exact per-cell integrals of the singular weight
-(u - y)^(H/2 - 1) and a geometrically stretched grid for the far past.
+fBm paths are cumulative sums of fractional Gaussian noise drawn by
+circulant embedding, exact in law on the grid.  Rosenblatt paths
+discretize the second-order Wiener-Ito integral: the time integral of
+the product kernel is reduced to an off-diagonal quadratic form in
+independent Gaussian cell increments, with exact per-cell integrals of
+the singular weight (u - y)^(H/2 - 1) and a geometrically stretched grid
+for the far past.  On the fine cells near the grid the weights are
+Toeplitz, and act on a path as an FFT convolution.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import fft, special
 
 from .errors import AlignmentError, ConfigError, FactorizationError, QuadratureError
 from .kernels import fbm_cov
 from .rng import normal_matrix
 
-MAX_DENSE_GRID = 8192
 PROCESSES = ("fbm", "rosenblatt")
+PATH_BLOCK = 64  # path columns drawn and transformed together
 
 
 @dataclass(frozen=True)
@@ -104,46 +106,79 @@ def ensemble_from_csv(path) -> Ensemble:
     return Ensemble(grid, data[:, 1:])
 
 
+def _origin_index(grid: GridSpec) -> int:
+    """Index of t = 0, where both processes are anchored."""
+    if not grid.t_min <= 0.0 <= grid.t_max:
+        raise ConfigError(f"grid [{grid.t_min}, {grid.t_max}] must hold "
+                          f"t = 0; simulate() extends such grids")
+    return grid.index_of(0.0)
+
+
 def fbm_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
     """E b_s b_t = (|s|^2H + |t|^2H - |t-s|^2H) / 2 on the grid."""
     t = np.asarray(times, float)
     return fbm_cov(0, t[:, None], 0, t[None, :], H)
 
 
-def _factor_psd(C: np.ndarray) -> np.ndarray:
-    """Cholesky factor, retrying with relative jitter before giving up."""
-    jitter = 1e-12 * np.trace(C)
-    for shift in (0.0, jitter, 10.0 * jitter, 100.0 * jitter):
-        try:
-            return np.linalg.cholesky(
-                C + shift * np.eye(len(C)) if shift else C)
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationError(
-        "covariance matrix not positive semidefinite after jitter")
+def _fgn_spectrum(n_steps: int, dt: float, H: float) -> np.ndarray:
+    """sqrt(eigenvalue / m) of the circulant embedding of fGn, rfft half.
+
+    The autocovariance of fractional Gaussian noise with step dt is
+    embedded in a symmetric circulant of size m = 2 n_steps (Davies and
+    Harte 1987).  Its eigenvalues are non-negative for H in (1/2, 1);
+    those below zero by rounding are set to zero, and a more negative
+    one raises instead of being clipped.
+    """
+    k = np.arange(n_steps + 1, dtype=float)
+    gamma = 0.5 * dt ** (2.0 * H) * ((k + 1.0) ** (2.0 * H)
+                                     - 2.0 * k ** (2.0 * H)
+                                     + np.abs(k - 1.0) ** (2.0 * H))
+    return _circulant_sqrt(np.concatenate([gamma, gamma[-2:0:-1]]))
+
+
+def _circulant_sqrt(row: np.ndarray) -> np.ndarray:
+    """sqrt(lambda / m) for the rfft half of a symmetric circulant's row."""
+    eig = np.fft.rfft(row).real
+    if eig.min() < -1e-10 * eig.max():
+        raise FactorizationError(
+            f"circulant embedding not positive semidefinite "
+            f"(eigenvalue {eig.min():.3g}, largest {eig.max():.3g})")
+    return np.sqrt(np.maximum(eig, 0.0) / len(row))
 
 
 def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
                  stream: int = 0, path_offset: int = 0) -> Ensemble:
     """Gaussian ensemble with the exact two-sided fBm covariance on the grid.
 
-    Path p is a deterministic function of (seed, stream, p), so results do
-    not depend on how paths are scheduled across workers.
+    Fractional Gaussian noise on the grid's steps comes from circulant
+    embedding: m = 2 (n_points - 1) normals per path fill a Hermitian
+    spectrum, scaled by the embedding's eigenvalues, whose inverse real
+    FFT is a stationary sequence with the fGn autocovariance.  The path
+    is its cumulative sum, anchored at t = 0, which the grid must hold.
+
+    Path p is a deterministic function of (seed, stream, p): the FFTs act
+    on each column alone and paths are drawn in blocks of PATH_BLOCK, so
+    results depend neither on how paths are scheduled across workers nor
+    on the BLAS thread count.
     """
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie in (1/2, 1), got {H}")
-    if grid.n_points > MAX_DENSE_GRID:
-        raise ConfigError(
-            f"grid too large for dense factorization ({grid.n_points} > {MAX_DENSE_GRID})")
-    times = grid.times
-    live = np.abs(times) > 0.0  # b_0 = 0 exactly; factor the rest
-    C = fbm_covariance_matrix(times[live], H)
-    L = _factor_psd(C)
-    Z = normal_matrix(seed, stream, int(live.sum()), n_paths, path_offset)
+    i0 = _origin_index(grid)
+    n_steps = grid.n_points - 1
+    m = 2 * n_steps
+    scale = _fgn_spectrum(n_steps, grid.dt, H)
     values = np.zeros((grid.n_points, n_paths))
-    # one mat-vec per path: a blocked GEMM reorders its reduction with the
-    # batch width, so a path would depend on the batch it is simulated in
-    values[live] = np.matvec(L, Z.T).T
+    for p0 in range(0, n_paths, PATH_BLOCK):
+        nb = min(PATH_BLOCK, n_paths - p0)
+        Z = normal_matrix(seed, stream, m, nb, path_offset + p0)
+        # Z[k] and Z[n_steps + k] are the real and imaginary parts of
+        # frequency k; frequencies 0 and n_steps are real
+        spec = Z[:n_steps + 1].astype(complex)
+        spec[1:n_steps] = (Z[1:n_steps] + 1j * Z[n_steps + 1:]) * np.sqrt(0.5)
+        spec *= scale[:, None]
+        fgn = np.fft.irfft(spec, m, axis=0, norm="forward")[:n_steps]
+        np.cumsum(fgn, axis=0, out=values[1:, p0:p0 + nb])
+    values -= values[i0]
     return Ensemble(grid, values)
 
 
@@ -246,6 +281,16 @@ class RosenblattScheme:
         return rosenblatt_tail_bound(self.H, span, grid.t_min - self.y_min)
 
 
+def _cell_weights(top, bottom, width, g):
+    """Integral of (u - y)_+^(g - 1) over cells, divided by sqrt(width).
+
+    top and bottom are u minus the lower and the upper cell edge.
+    """
+    lo = np.clip(top, 0.0, None)
+    hi = np.clip(bottom, 0.0, None)
+    return (lo ** g - hi ** g) / g / np.sqrt(width)
+
+
 def _chaos_weights(scheme: RosenblattScheme, u: np.ndarray):
     """Exact cell projections a[k, i] of (u_k - y)_+^(H/2 - 1).
 
@@ -253,13 +298,9 @@ def _chaos_weights(scheme: RosenblattScheme, u: np.ndarray):
     width), so that sum_i a[k, i] xi_i is the L2 projection of the
     first-order Wiener integral onto the cell increments.
     """
-    g = 0.5 * scheme.H
     e = scheme.y_edges
-    widths = np.diff(e)
-    lo = np.clip(u[:, None] - e[None, :-1], 0.0, None)
-    hi = np.clip(u[:, None] - e[None, 1:], 0.0, None)
-    prim = (lo ** g - hi ** g) / g
-    return prim / np.sqrt(widths)[None, :]
+    return _cell_weights(u[:, None] - e[None, :-1], u[:, None] - e[None, 1:],
+                         np.diff(e)[None, :], 0.5 * scheme.H)
 
 
 def _time_refinement(grid: GridSpec, substeps: int):
@@ -276,6 +317,56 @@ def _time_refinement(grid: GridSpec, substeps: int):
     return u, du, sgn
 
 
+class _ChaosProjection:
+    """The map xi -> M = a xi of _chaos_weights, without forming a.
+
+    The cells of width du at the top of the chaos grid (the near block)
+    are aligned with the refined times u_k, so u_k minus the lower edge
+    of near cell i is c + du (k - i) and a is Toeplitz there.  Its
+    generator, h[q] = a[k, i] for k - i = q - D with D + 1 near cells, is
+    all the block needs: it acts on a path as a linear convolution, done
+    by real FFTs of a length that cannot wrap onto the kept outputs.
+    The remaining (far) cells are few and act by one mat-vec per path.
+    A chaos grid with no cells of width du is all far.
+    """
+
+    def __init__(self, scheme: RosenblattScheme, u: np.ndarray, du: float):
+        e = scheme.y_edges
+        widths = np.diff(e)
+        g = 0.5 * scheme.H
+        # the near block is the longest run of width-du cells at the top
+        other = np.flatnonzero(np.abs(widths - du) > 1e-9 * du)
+        n_far = other[-1] + 1 if len(other) else 0
+        n_near = len(widths) - n_far
+        self.n_cells, self.n_far, self.n_u = len(widths), n_far, len(u)
+        self.far = _cell_weights(u[:, None] - e[None, :n_far],
+                                 u[:, None] - e[None, 1:n_far + 1],
+                                 widths[None, :n_far], g)
+        self.mass = np.sum(self.far * self.far, axis=1)  # sum_i a[k, i]^2
+        self.D = n_near - 1
+        if n_near:
+            top = (u[0] - e[n_far]) + du * np.arange(-self.D, len(u))
+            h = _cell_weights(top, top - du, du, g)
+            self.L = fft.next_fast_len(len(h), real=True)
+            self.h_hat = np.fft.rfft(h, self.L)
+            # row k of the block holds h[k + D], ..., h[k]; h[q < k]
+            # would be cells above the grid's top edge >= t_max > u_k,
+            # and are zero
+            self.mass += np.cumsum(h * h)[self.D:]
+
+    def apply(self, W: np.ndarray) -> np.ndarray:
+        """M[k, p] = sum_i a[k, i] W[i, p] for a block of path columns."""
+        M = np.empty((self.n_u, W.shape[1]))
+        # per-path mat-vecs: a blocked GEMM reorders its reduction with
+        # the batch width, so a path would depend on its batch
+        np.matvec(self.far, W[:self.n_far].T, out=M.T)
+        if self.D >= 0:
+            near = np.fft.rfft(W[self.n_far:], self.L, axis=0)
+            near *= self.h_hat[:, None]
+            M += np.fft.irfft(near, self.L, axis=0)[self.D:self.D + self.n_u]
+        return M
+
+
 def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
                         n_paths: int, seed: int, stream: int = 0,
                         path_offset: int = 0) -> Ensemble:
@@ -287,6 +378,10 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
     for step kernels (I2(1_A x 1_A) = W(A)^2 - |A|); it keeps the
     estimator centred while retaining the kernel mass of the diagonal
     band, which plain i = j zeroing would lose at rate O(dy^(2H-1)).
+    The grid must hold t = 0, where R is anchored.
+
+    Paths are drawn and projected in blocks of PATH_BLOCK columns; each
+    column is transformed alone, so a path does not depend on its block.
     """
     if scheme.y_edges[-1] < grid.t_max - 1e-12:
         raise ConfigError("chaos grid must reach t_max")
@@ -295,22 +390,22 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
         raise ConfigError(
             f"truncated-tail variance bound {tail:.3g} exceeds "
             f"tail_tol {scheme.tail_tol:.3g}")
+    i0 = _origin_index(grid)
     u, du, _ = _time_refinement(grid, scheme.substeps)
-    a = _chaos_weights(scheme, u)
-    W = normal_matrix(seed, stream, a.shape[1], n_paths, path_offset)
-    # per-path mat-vecs as in simulate_fbm; out=M.T keeps M C-ordered
-    M = np.empty((len(u), n_paths))
-    np.matvec(a, W.T, out=M.T)
-    mass = np.sum(a * a, axis=1)
-    # increments R_t - R_s integrate the (positive) product kernel over
-    # (s, t); anchoring at 0 happens through the prefix difference below,
-    # which automatically carries the right sign for t < 0
-    contrib = du * (M * M - mass[:, None])
-    prefix = np.vstack([np.zeros(n_paths), np.cumsum(contrib, axis=0)])
-    at_edges = prefix[::scheme.substeps]
-    i0 = grid.index_of(0.0) if grid.t_min <= 0.0 <= grid.t_max else 0
-    values = scheme.A_H * (at_edges - at_edges[i0])
-    values[i0] = 0.0
+    proj = _ChaosProjection(scheme, u, du)
+    values = np.zeros((grid.n_points, n_paths))
+    for p0 in range(0, n_paths, PATH_BLOCK):
+        nb = min(PATH_BLOCK, n_paths - p0)
+        W = normal_matrix(seed, stream, proj.n_cells, nb, path_offset + p0)
+        M = proj.apply(W)
+        # increments R_t - R_s integrate the (positive) product kernel
+        # over (s, t); anchoring at 0 happens through the prefix
+        # difference below, which carries the right sign for t < 0
+        contrib = du * (M * M - proj.mass[:, None])
+        s = scheme.substeps
+        values[1:, p0:p0 + nb] = np.cumsum(contrib, axis=0)[s - 1::s]
+    values -= values[i0]
+    values *= scheme.A_H
     return Ensemble(grid, values)
 
 
@@ -345,15 +440,38 @@ def simulate(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
     """Ensemble of one of PROCESSES.
 
     tail_tol and substeps build the Rosenblatt scheme; fbm ignores them.
+    Both processes are anchored at t = 0.  A grid on one side of it is
+    simulated on its lattice continued to t = 0 and then cut back, which
+    needs t = 0 to lie a whole number of steps (to 1e-9) from the grid.
     """
     if process not in PROCESSES:
         raise ConfigError(f"unknown process {process!r}")
+    sim_grid, rows = _through_origin(grid)
     if process == "fbm":
-        return simulate_fbm(grid, H, n_paths, seed, stream, path_offset)
-    scheme = RosenblattScheme.for_grid(grid, H, tail_tol=tail_tol,
-                                       substeps=substeps)
-    return simulate_rosenblatt(grid, scheme, n_paths, seed, stream,
-                               path_offset)
+        ens = simulate_fbm(sim_grid, H, n_paths, seed, stream, path_offset)
+    else:
+        scheme = RosenblattScheme.for_grid(sim_grid, H, tail_tol=tail_tol,
+                                           substeps=substeps)
+        ens = simulate_rosenblatt(sim_grid, scheme, n_paths, seed, stream,
+                                  path_offset)
+    return ens if sim_grid is grid else Ensemble(grid, ens.values[rows])
+
+
+def _through_origin(grid: GridSpec):
+    """The grid's lattice continued to t = 0, and the rows that are grid."""
+    if grid.t_min <= 0.0 <= grid.t_max:
+        return grid, slice(None)
+    steps = min(abs(grid.t_min), abs(grid.t_max)) / grid.dt
+    k = round(steps)
+    if abs(steps - k) > 1e-9:
+        raise ConfigError(
+            f"grid [{grid.t_min}, {grid.t_max}] is {steps:.6g} steps from "
+            f"t = 0, not a whole number, so the processes cannot be "
+            f"anchored there")
+    if grid.t_min > 0.0:
+        return GridSpec(0.0, grid.t_max, grid.n_points + k), slice(k, None)
+    return GridSpec(grid.t_min, 0.0, grid.n_points + k), \
+        slice(0, grid.n_points)
 
 
 # ---------------------------------------------------------------------------

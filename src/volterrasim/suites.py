@@ -18,6 +18,8 @@ from .rng import substream
 
 SUITES = ("kernel", "isometry", "law-symmetry", "stationarity", "limit",
           "criteria")
+LIMIT_TIMES = (1.0, 2.0, 4.0, 8.0)
+LIMIT_EARLY = 0.24  # a grid time at which X_t must still differ from x_inf
 
 
 def default_equation(H: float, x0=None):
@@ -134,24 +136,45 @@ def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity"):
 
 
 def suite_limit(H: float, n_paths: int, seed: int):
-    from .evolution import check_limit_condition, sample_x_infinity, solve_mild
+    """Law(X_t) from a zero start approaches the law of x_infinity.
+
+    Three checks: the gap Tr q_inf - Tr q_t between the exact
+    covariances is positive and falls over LIMIT_TIMES; the energy test
+    tells X at an early time from x_infinity; and it does not at the
+    last time.  The energy distances at LIMIT_TIMES are printed too.
+    """
+    from .evolution import check_limit_condition, covariance_q_infinity, \
+        covariance_qt, sample_x_infinity, solve_mild
 
     spec = default_equation(H)
     value, finite = check_limit_condition(spec)
     lines = [f"limit condition integral: {value:.6f} "
              f"({'finite' if finite else 'DIVERGENT'})"]
     ok = finite
-    grid = GridSpec(0.0, 8.0, 401)
+    tr_inf = np.trace(covariance_q_infinity(spec))
+    gaps = [tr_inf - np.trace(covariance_qt(spec, t)) for t in LIMIT_TIMES]
+    for t, gap in zip(LIMIT_TIMES, gaps):
+        lines.append(f"Tr q_inf - Tr q_{t}: {gap:.6f}")
+    good = gaps[-1] > 0.0 and all(b < a for a, b in zip(gaps, gaps[1:]))
+    ok &= good
+    lines.append("covariance gap positive and falling: "
+                 + ("pass" if good else "FAIL"))
+    grid = GridSpec(0.0, LIMIT_TIMES[-1], 401)
     sol = solve_mild(spec, grid, n_paths, seed)
     target = sample_x_infinity(spec, 25.0, n_paths, seed + 1, dt=0.02).T
-    dists = []
-    for t in (1.0, 2.0, 4.0, 8.0):
+    for t in LIMIT_TIMES:
         d = energy_statistic(sol.at(t).T, target)
-        dists.append(d)
         lines.append(f"energy distance Law(X_{t}) vs x_inf: {d:.5f}")
-    decreasing = all(b <= a + 1e-3 for a, b in zip(dists, dists[1:]))
-    ok &= decreasing
-    lines.append("distances decreasing: " + ("pass" if decreasing else "FAIL"))
+    early = energy_two_sample(sol.at(LIMIT_EARLY).T, target, seed=seed)
+    good = not early.passed
+    ok &= good
+    lines.append(f"Law(X_{LIMIT_EARLY}) vs x_inf: "
+                 f"energy={early.statistic:.6g} p={early.p_value:.4f} "
+                 f"(n_perm={early.n_permutations}), rejected at level "
+                 f"{early.level}: {'pass' if good else 'FAIL'}")
+    late = energy_two_sample(sol.at(LIMIT_TIMES[-1]).T, target, seed=seed)
+    ok &= late.passed
+    lines.append(f"Law(X_{LIMIT_TIMES[-1]}) vs x_inf: {late}")
     return ok, lines
 
 

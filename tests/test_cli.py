@@ -60,34 +60,40 @@ class TestSimulate:
             (b / "manifest.txt").read_bytes()
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        outs = []
-        for w, name in ((1, "w1"), (3, "w3")):
-            out = tmp_path / name
-            assert run("simulate", "--process", "rosenblatt", "--H", "0.75",
-                       "--grid", "0:1:21", "--paths", "7", "--seed", "2",
-                       "--tail-tol", "1e-2", "--substeps", "2",
-                       "--workers", str(w), "--out", str(out)) == 0
-            outs.append((out / "ensemble.csv").read_bytes())
-        assert outs[0] == outs[1]
+        # 7 paths, and 70: one block of 64 and one of 6 on one worker,
+        # blocks of 24, 24 and 22 on three
+        for process in ("fbm", "rosenblatt"):
+            for paths in ("7", "70"):
+                outs = []
+                for w in ("1", "3"):
+                    out = tmp_path / f"{process}{paths}w{w}"
+                    assert run("simulate", "--process", process,
+                               "--H", "0.75", "--grid", "0:1:21",
+                               "--paths", paths, "--seed", "2",
+                               "--tail-tol", "1e-2", "--substeps", "2",
+                               "--workers", w, "--out", str(out)) == 0
+                    outs.append((out / "ensemble.csv").read_bytes())
+                assert outs[0] == outs[1], (process, paths)
 
-    def test_rosenblatt_bytes_independent_of_blas_threads(self, tmp_path):
-        # each path is its own mat-vec, so the BLAS thread count cannot
-        # change a reduction order (fbm still can, through its Cholesky
-        # factor)
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # fbm's FFTs and Rosenblatt's convolution never call BLAS, and the
+        # far Rosenblatt cells are one mat-vec per path, so the BLAS thread
+        # count cannot change a reduction order
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        outs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.path.abspath(src))
-            subprocess.run(
-                [sys.executable, "-m", "volterrasim.cli", "simulate",
-                 "--process", "rosenblatt", "--H", "0.75",
-                 "--grid", "-1:1:201", "--paths", "40", "--seed", "7",
-                 "--out", str(out)], env=env, check=True,
-                capture_output=True)
-            outs.append((out / "ensemble.csv").read_bytes())
-        assert outs[0] == outs[1]
+        for process, grid in (("fbm", "-2:2:801"), ("rosenblatt", "-1:1:201")):
+            outs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{process}{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.path.abspath(src))
+                subprocess.run(
+                    [sys.executable, "-m", "volterrasim.cli", "simulate",
+                     "--process", process, "--H", "0.75",
+                     "--grid", grid, "--paths", "40", "--seed", "7",
+                     "--out", str(out)], env=env, check=True,
+                    capture_output=True)
+                outs.append((out / "ensemble.csv").read_bytes())
+            assert outs[0] == outs[1], process
 
     def test_overwrite_protection(self, tmp_path):
         out = tmp_path / "run"
@@ -113,6 +119,9 @@ class TestSimulate:
         ("rosenblatt", "--H", "0.3", "H must lie in (1/2, 1)"),
         ("fbm", "--paths", "0", "--paths"),
         ("rosenblatt", "--paths", "0", "--paths"),
+        ("fbm", "--workers", "-3", "--workers"),
+        ("fbm", "--workers", "0", "--workers"),
+        ("fbm", "--grid", "0.35:1:10", "whole number"),
     ])
     def test_bad_value_is_usage_error_with_a_clear_message(
             self, tmp_path, capsys, process, flag, value, word):
@@ -166,6 +175,20 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert "suite result" not in out
         assert "paths" in err
+
+    def test_bad_x0_names_the_flag(self, capsys):
+        assert run("verify", "--suite", "stationarity", "--seed", "4",
+                   "--x0", "bogus") == 2
+        out, err = capsys.readouterr()
+        assert "suite result" not in out
+        assert "--x0" in err
+
+    def test_limit_suite_too_few_paths_is_usage_error(self, capsys):
+        assert run("verify", "--suite", "limit", "--seed", "1",
+                   "--paths", "3") == 2
+        out, err = capsys.readouterr()
+        assert "suite result" not in out
+        assert "50 observations" in err
 
     def test_unknown_suite_is_usage_error(self):
         assert run("verify", "--suite", "nope") == 2

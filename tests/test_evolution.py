@@ -12,6 +12,7 @@ from volterrasim.evolution import (
     check_H,
     check_limit_condition,
     covariance_g,
+    covariance_q_infinity,
     covariance_qt,
     hs_norm_sq,
     load_equation_config,
@@ -20,7 +21,7 @@ from volterrasim.evolution import (
 )
 from volterrasim.kernels import fbm_cov
 from volterrasim.processes import GridSpec
-from volterrasim.suites import default_equation
+from volterrasim.suites import default_equation, suite_limit
 
 
 def unit_spec(H=0.7, lam=1.0, x0=None):
@@ -177,6 +178,22 @@ class TestCovarianceExact:
                                    rtol=1e-7)
 
     @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_q_infinity_is_the_long_time_limit(self, H):
+        spec = two_mode_spec(H)
+        q_inf = covariance_q_infinity(spec)
+        np.testing.assert_allclose(covariance_qt(spec, 60.0), q_inf,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(
+            np.diag(q_inf), H * math.gamma(2 * H) * spec.lambdas ** (-2 * H)
+            * np.sum(spec.phi_matrix ** 2, axis=1), rtol=1e-13)
+
+    def test_q_infinity_needs_positive_lambdas(self):
+        spec = EquationSpec([0.0, 1.0], [[1.0], [1.0]],
+                            NoiseSpec(("fbm",), 0.7), allow_unstable=True)
+        with pytest.raises(ConfigError):
+            covariance_q_infinity(spec)
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
     @pytest.mark.parametrize("lam", [500.0, 5000.0])
     def test_stiff_mode(self, lam, H):
         q = covariance_qt(unit_spec(H, lam), 2.0)[0, 0]
@@ -259,6 +276,19 @@ class TestXInfinity:
                             allow_unstable=True)
         with pytest.raises(ConfigError):
             sample_x_infinity(spec, t_trunc=5.0, n_paths=10, seed=0)
+
+
+class TestLimitSuite:
+    def test_wrongly_scaled_x_infinity_fails(self, monkeypatch):
+        # criterion 7's call, with the target law made 1.3 times too wide
+        def scaled(*args, **kwargs):
+            return 1.3 * sample_x_infinity(*args, **kwargs)
+
+        assert suite_limit(0.7, 600, seed=76)[0]
+        monkeypatch.setattr(evolution, "sample_x_infinity", scaled)
+        ok, lines = suite_limit(0.7, 600, seed=76)
+        assert not ok
+        assert lines[-1].endswith("FAIL")
 
 
 class TestConfig:

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from volterrasim import processes
 from volterrasim.diagnostics import energy_two_sample
-from volterrasim.errors import AlignmentError, ConfigError, QuadratureError
+from volterrasim.errors import AlignmentError, ConfigError, \
+    FactorizationError, QuadratureError
 from volterrasim.kernels import fbm_cov
 from volterrasim.processes import (
     CumulantSpec,
@@ -22,6 +24,7 @@ from volterrasim.processes import (
     simulate_fbm,
     simulate_rosenblatt,
 )
+from volterrasim.rng import normal_matrix
 
 
 class TestGridSpec:
@@ -112,9 +115,39 @@ class TestFbm:
         w = np.linalg.eigvalsh(C)
         assert w.min() > -1e-10
 
-    def test_grid_size_guard(self):
-        with pytest.raises(ConfigError):
-            simulate_fbm(GridSpec(0.0, 1.0, 9000), 0.7, 1, seed=0)
+    def test_large_grid_lag_one_increment_variance(self):
+        # a grid whose dense covariance matrix would take 3.2 GB
+        H, n = 0.7, 20
+        grid = GridSpec(0.0, 1.0, 20001)
+        ens = simulate_fbm(grid, H, n, seed=8)
+        per_path = np.mean(np.diff(ens.values, axis=0) ** 2, axis=0)
+        target = grid.dt ** (2 * H)
+        se = per_path.std(ddof=1) / np.sqrt(n)
+        assert abs(per_path.mean() - target) <= 4.0 * se
+        assert se < 0.05 * target
+
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.95])
+    def test_circulant_map_has_exact_covariance(self, monkeypatch, H):
+        # the map from the m = 2 (n_points - 1) normals of a path to the
+        # path, applied to the m unit vectors, spans more than one block
+        grid = GridSpec(-1.0, 1.5, 51)
+        m = 2 * (grid.n_points - 1)
+        assert m > processes.PATH_BLOCK
+        monkeypatch.setattr(
+            processes, "normal_matrix",
+            lambda seed, stream, n_rows, n_paths, path_offset=0:
+            np.eye(n_rows)[:, path_offset:path_offset + n_paths])
+        T = simulate_fbm(grid, H, m, seed=0).values
+        C = fbm_covariance_matrix(grid.times, H)
+        assert np.max(np.abs(T @ T.T - C)) <= 1e-12 * np.max(np.abs(C))
+
+    def test_indefinite_embedding_raises(self):
+        # the circulant with this row has eigenvalues 5.5, 0.5, 0.5, -2.5
+        with pytest.raises(FactorizationError):
+            processes._circulant_sqrt(np.array([1.0, 2.0, 0.5, 2.0]))
+        # rounding-sized negatives are set to zero
+        scale = processes._circulant_sqrt(np.array([1.0, -1.0 - 1e-13]))
+        assert scale[0] == 0.0 and scale[1] == pytest.approx(1.0)
 
 
 class TestRosenblatt:
@@ -168,6 +201,28 @@ class TestRosenblatt:
                                     path_offset=1)
         assert np.array_equal(ens.values[:, 1:4], again.values)
 
+    @pytest.mark.parametrize("edges", [None, np.concatenate([
+        -np.geomspace(1e4, 2.0, 40), np.linspace(-1.9, 1.0, 60)])])
+    def test_matches_dense_chaos_product(self, edges):
+        # the old sampler: the full weight matrix a times the normals; the
+        # hand-built chaos grid has no cells of width du, so no near block
+        grid = GridSpec(-1.0, 1.0, 41)
+        if edges is None:
+            scheme = RosenblattScheme.for_grid(grid, 0.75, tail_tol=1e-2,
+                                               substeps=3)
+        else:
+            scheme = RosenblattScheme(0.75, edges, substeps=3, tail_tol=1.0)
+        u, du, _ = processes._time_refinement(grid, scheme.substeps)
+        a = processes._chaos_weights(scheme, u)
+        n = 70
+        M = a @ normal_matrix(5, 2, a.shape[1], n)
+        contrib = du * (M * M - np.sum(a * a, axis=1)[:, None])
+        prefix = np.vstack([np.zeros(n), np.cumsum(contrib, axis=0)])
+        at_edges = prefix[::scheme.substeps]
+        dense = scheme.A_H * (at_edges - at_edges[grid.index_of(0.0)])
+        ens = simulate_rosenblatt(grid, scheme, n, seed=5, stream=2)
+        assert np.max(np.abs(ens.values - dense)) <= 1e-9
+
     def test_scheme_validation(self):
         with pytest.raises(ConfigError):
             RosenblattScheme(H=0.75, y_edges=np.linspace(0, 1, 5),
@@ -176,6 +231,68 @@ class TestRosenblatt:
             # unreachable tolerance
             RosenblattScheme.for_grid(GridSpec(0, 1, 11), 0.75,
                                       tail_tol=1e-30)
+
+
+class TestBatchSplit:
+    """A path depends only on its index, not on its block of 64."""
+
+    @pytest.mark.parametrize("process", ["fbm", "rosenblatt"])
+    def test_split_matches_whole(self, process):
+        def run(n, offset):
+            return simulate(process, GridSpec(-1.0, 1.0, 41), 0.75, n, 4,
+                            1, offset, 1e-2, 2).values
+
+        whole = run(70, 0)
+        assert np.array_equal(whole, np.hstack([run(3, 0), run(67, 3)]))
+        assert np.array_equal(whole[:, 60:70], run(10, 60))
+
+
+class TestAnchoring:
+    """R and b vanish at t = 0 also for grids that do not contain it."""
+
+    @pytest.mark.parametrize("process", ["fbm", "rosenblatt"])
+    @pytest.mark.parametrize("grid, full, rows", [
+        (GridSpec(1.0, 2.0, 11), GridSpec(0.0, 2.0, 21), slice(10, None)),
+        (GridSpec(-2.0, -1.0, 11), GridSpec(-2.0, 0.0, 21), slice(0, 11)),
+    ])
+    def test_cut_from_the_lattice_through_zero(self, process, grid, full,
+                                               rows):
+        part = simulate(process, grid, 0.75, 5, 3, 0, 0, 1e-2, 2)
+        whole = simulate(process, full, 0.75, 5, 3, 0, 0, 1e-2, 2)
+        assert np.array_equal(part.values, whole.values[rows])
+        assert np.array_equal(part.grid.times, grid.times)
+
+    @pytest.mark.parametrize("process", ["fbm", "rosenblatt"])
+    def test_variance_at_grid_start(self, process):
+        # anchored at t_min instead, Var R_1 would be 0 (and 1.09 at t = 2)
+        H, n = 0.75, 2000
+        ens = simulate(process, GridSpec(1.0, 2.0, 11), H, n, 6, 0, 0,
+                       1e-2, 2)
+        target = {1.0: 1.0, 2.0: 2.0 ** (2 * H)}
+        if process == "rosenblatt":
+            # the exact variances of the discretized law
+            full = GridSpec(0.0, 2.0, 21)
+            C = rosenblatt_grid_covariance(full, RosenblattScheme.for_grid(
+                full, H, tail_tol=1e-2, substeps=2))
+            target = {1.0: C[10, 10], 2.0: C[20, 20]}
+        for t in (1.0, 2.0):
+            x = ens.at(t)
+            se = np.std(x * x) / np.sqrt(n)
+            assert abs(np.mean(x * x) - target[t]) <= 4.0 * se
+
+    def test_off_lattice_grid_refused(self):
+        with pytest.raises(ConfigError, match="whole number"):
+            simulate("fbm", GridSpec(0.35, 1.0, 10), 0.7, 3, 1, 0, 0,
+                     1e-2, 2)
+
+    @pytest.mark.parametrize("sampler", [
+        lambda g: simulate_fbm(g, 0.7, 3, seed=1),
+        lambda g: simulate_rosenblatt(
+            g, RosenblattScheme.for_grid(g, 0.7, tail_tol=1e-2), 3, seed=1),
+    ])
+    def test_samplers_need_zero_on_the_grid(self, sampler):
+        with pytest.raises(ConfigError, match="t = 0"):
+            sampler(GridSpec(1.0, 2.0, 11))
 
 
 class TestCumulants:
