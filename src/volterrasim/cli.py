@@ -11,11 +11,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__
 from .errors import VolterraError
-from .processes import PROCESSES, Ensemble, GridSpec, simulate
+from .processes import PROCESSES, GridSpec, csv_cells, simulate, write_csv
 
 MANIFEST_SCHEMA = "1"
 
@@ -37,6 +35,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def available_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def write_manifest(path, command: str, params: dict) -> None:
     """Structured plain text; keys sorted so reruns are byte-identical."""
     with open(path, "w") as fh:
@@ -49,8 +54,9 @@ def write_manifest(path, command: str, params: dict) -> None:
 
 
 def _simulate_block(args_tuple):
+    """One block of paths, returned as its CSV cells (see csv_cells)."""
     process, grid_args, *rest = args_tuple
-    return simulate(process, GridSpec(*grid_args), *rest).values
+    return csv_cells(simulate(process, GridSpec(*grid_args), *rest).values)
 
 
 def cmd_simulate(args) -> int:
@@ -66,7 +72,6 @@ def cmd_simulate(args) -> int:
             return 2
 
     grid_args = (grid.t_min, grid.t_max, grid.n_points)
-    blocks = []
     workers = args.workers
     chunk = -(-args.paths // workers)  # ceil division
     jobs = []
@@ -76,16 +81,15 @@ def cmd_simulate(args) -> int:
         jobs.append((args.process, grid_args, args.H, n_block, args.seed,
                      args.stream, offset, args.tail_tol, args.substeps))
         offset += n_block
-    if workers == 1 or len(jobs) == 1:
-        blocks = [_simulate_block(j) for j in jobs]
+    if len(jobs) == 1:
+        blocks = [_simulate_block(jobs[0])]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at once, so none beyond the jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             blocks = list(pool.map(_simulate_block, jobs))
-    values = np.hstack(blocks)
-    # path identity depends only on (seed, stream, path index), so the
-    # assembled ensemble is independent of the worker split
-    ens = Ensemble(grid, values)
-    ens.to_csv(csv_path)
+    # path identity depends only on (seed, stream, path index), and repr
+    # is the same in every process, so the CSV is independent of the split
+    write_csv(csv_path, grid, args.paths, blocks)
     write_manifest(manifest_path, "simulate", {
         "process": args.process,
         "H": repr(args.H),
@@ -168,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
-    sim.add_argument("--workers", type=positive_int, default=1,
-                     help="parallel path blocks (results independent of it)")
+    sim.add_argument("--workers", type=positive_int, default=available_cpus(),
+                     help="parallel path blocks, default: the CPUs this "
+                          "process may use (results independent of it)")
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run a named invariant suite")

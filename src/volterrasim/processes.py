@@ -91,11 +91,28 @@ class Ensemble:
         return self.values[self.grid.index_of(t)]
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t," + ",".join(f"path_{p}" for p in range(self.n_paths)))
-            fh.write("\n")
-            for t, row in zip(self.grid.times.tolist(), self.values.tolist()):
-                fh.write(f"{t!r},{','.join(map(repr, row))}\n")
+        write_csv(path, self.grid, self.n_paths, [csv_cells(self.values)])
+
+
+def csv_cells(values: np.ndarray) -> list[str]:
+    """Each row of a block of path columns as CSV text, repr per value.
+
+    repr is the shortest text that reads back as the same float, and is
+    the same in every process, so blocks may be formatted anywhere.
+    """
+    return [",".join(map(repr, row)) for row in values.tolist()]
+
+
+def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:
+    """Write an ensemble CSV: header, then per time its blocks' cells.
+
+    blocks are csv_cells of consecutive path columns, in path order.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write("t," + ",".join(f"path_{p}" for p in range(n_paths)))
+        fh.write("\n")
+        for t, *cells in zip(grid.times.tolist(), *blocks):
+            fh.write(f"{t!r},{','.join(cells)}\n")
 
 
 def ensemble_from_csv(path) -> Ensemble:
@@ -261,11 +278,12 @@ class RosenblattScheme:
         near = np.arange(near_lo, grid.t_max + 0.5 * dy, dy)
         # depth below near_lo needed so the analytic tail bound meets tail_tol
         base = rosenblatt_tail_bound(H, span, 1.0)
-        depth = (tail_tol / base) ** (1.0 / (H - 1.0))
-        if not np.isfinite(depth) or depth > 1e30:
+        # checked in log space: the power itself overflows for tiny tail_tol
+        if (math.log(tail_tol) - math.log(base)) / (H - 1.0) > math.log(1e30):
             raise ConfigError(
                 f"tail tolerance {tail_tol} unreachable "
                 f"(bound at unit depth {base:.3g})")
+        depth = (tail_tol / base) ** (1.0 / (H - 1.0))
         far = [near_lo]
         step = dy
         while far[-1] > near_lo - depth:

@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from volterrasim import cli
 from volterrasim.cli import main, parse_grid, write_manifest
-from volterrasim.processes import ensemble_from_csv
+from volterrasim.processes import GridSpec, ensemble_from_csv, simulate
 
 
 def run(*argv):
@@ -60,20 +62,53 @@ class TestSimulate:
             (b / "manifest.txt").read_bytes()
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        # 7 paths, and 70: one block of 64 and one of 6 on one worker,
-        # blocks of 24, 24 and 22 on three
+        # 2 paths on 3 workers; 7; and 70: one block of 64 and one of 6 on
+        # one worker, blocks of 24, 24 and 22 on three.  Without --workers
+        # the CLI uses every CPU.  Ensemble.to_csv of the same paths made
+        # in this process writes the same bytes.
         for process in ("fbm", "rosenblatt"):
-            for paths in ("7", "70"):
-                outs = []
-                for w in ("1", "3"):
-                    out = tmp_path / f"{process}{paths}w{w}"
+            for paths in (2, 7, 70):
+                lib = tmp_path / f"{process}{paths}.csv"
+                simulate(process, GridSpec(0.0, 1.0, 21), 0.75, paths, 2, 0,
+                         0, 1e-2, 2).to_csv(lib)
+                for workers in ((), ("--workers", "1"), ("--workers", "3")):
+                    out = tmp_path / f"{process}{paths}w{''.join(workers)}"
                     assert run("simulate", "--process", process,
                                "--H", "0.75", "--grid", "0:1:21",
-                               "--paths", paths, "--seed", "2",
+                               "--paths", str(paths), "--seed", "2",
                                "--tail-tol", "1e-2", "--substeps", "2",
-                               "--workers", w, "--out", str(out)) == 0
-                    outs.append((out / "ensemble.csv").read_bytes())
-                assert outs[0] == outs[1], (process, paths)
+                               *workers, "--out", str(out)) == 0
+                    assert (out / "ensemble.csv").read_bytes() == \
+                        lib.read_bytes(), (process, paths, workers)
+
+    def test_pool_never_outnumbers_the_jobs(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs the jobs in this process; records the requested size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        argv = ("simulate", "--process", "fbm", "--H", "0.7",
+                "--grid", "0:1:11", "--seed", "1")
+        assert run(*argv, "--paths", "2", "--workers", "500",
+                   "--out", str(tmp_path / "a")) == 0
+        assert sizes == [2]
+        # the default is every CPU this process may use
+        assert run(*argv, "--paths", "1000", "--out", str(tmp_path / "b")) == 0
+        n = cli.available_cpus()
+        assert sizes[1:] == ([] if n == 1 else [min(n, 1000)])
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # fbm's FFTs and Rosenblatt's convolution never call BLAS, and the
@@ -94,6 +129,20 @@ class TestSimulate:
                     capture_output=True)
                 outs.append((out / "ensemble.csv").read_bytes())
             assert outs[0] == outs[1], process
+
+    def test_unreachable_tail_tol_prints_only_the_error(self, tmp_path,
+                                                        capsys):
+        # no overflow warning may come before, or under -W error instead of,
+        # the configuration error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--process", "rosenblatt", "--H", "0.75",
+                       "--grid", "0:1:11", "--paths", "1", "--seed", "1",
+                       "--tail-tol", "1e-300",
+                       "--out", str(tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tail tolerance 1e-300 unreachable")
+        assert err.count("\n") == 1
 
     def test_overwrite_protection(self, tmp_path):
         out = tmp_path / "run"

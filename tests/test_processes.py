@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -227,10 +229,12 @@ class TestRosenblatt:
         with pytest.raises(ConfigError):
             RosenblattScheme(H=0.75, y_edges=np.linspace(0, 1, 5),
                              substeps=2, tail_tol=1e-3)
-        with pytest.raises(ConfigError):
-            # unreachable tolerance
-            RosenblattScheme.for_grid(GridSpec(0, 1, 11), 0.75,
-                                      tail_tol=1e-30)
+        for tail_tol in (1e-30, 1e-300):
+            # unreachable tolerance; at 1e-300 the depth itself overflows
+            with warnings.catch_warnings(), pytest.raises(ConfigError):
+                warnings.simplefilter("error")
+                RosenblattScheme.for_grid(GridSpec(0, 1, 11), 0.75,
+                                          tail_tol=tail_tol)
 
 
 class TestBatchSplit:
