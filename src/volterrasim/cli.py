@@ -7,6 +7,9 @@ all defaults spelled out).
 """
 
 import argparse
+import contextlib
+import ctypes
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -16,6 +19,13 @@ from .errors import VolterraError
 from .processes import PROCESSES, GridSpec, csv_cells, simulate, write_csv
 
 MANIFEST_SCHEMA = "1"
+# The simulate pool forks on Linux: a forked worker starts without
+# importing the package again, which a spawned or forkserver one must do.
+# On 2 CPUs the benchmark's three simulate commands took about 2 s with
+# forked workers, 4-6 s with spawned or forkserver ones and 3 s in one
+# process, so elsewhere the default is one process.  The package starts
+# no thread, and OpenBLAS stops its own before a fork.
+FORK_POOL = sys.platform == "linux"
 
 
 def parse_grid(text: str) -> GridSpec:
@@ -35,11 +45,54 @@ def positive_int(text: str) -> int:
     return value
 
 
-def available_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def default_workers() -> int:
+    """Every CPU this process may run on where the pool forks, else 1."""
+    return len(os.sched_getaffinity(0)) if FORK_POOL else 1
+
+
+# (get, set) thread-count functions of the OpenBLAS builds bundled in
+# numpy's wheels (64-bit integers) and scipy's
+OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Every OpenBLAS mapped into this process at one thread, then back.
+
+    Workers forked inside inherit the setting, so n workers run n threads
+    and not n BLAS pools each.  Any other BLAS build is left as it is.
+    The thread count never changes a simulated value.
+    """
+    with open("/proc/self/maps") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line}
+    restore = []
+    for lib in map(ctypes.CDLL, libs):
+        for get, set_ in OPENBLAS_THREADS:
+            if hasattr(lib, set_):
+                restore.append((getattr(lib, set_), getattr(lib, get)()))
+                break
+    for set_, _ in restore:
+        set_(1)
+    try:
+        yield
+    finally:
+        for set_, n in restore:
+            set_(n)
+
+
+@contextlib.contextmanager
+def simulate_pool(n: int):
+    """n worker processes for simulate jobs (see FORK_POOL)."""
+    if not FORK_POOL:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            yield pool
+        return
+    with one_blas_thread(), ProcessPoolExecutor(
+            max_workers=n, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool
 
 
 def write_manifest(path, command: str, params: dict) -> None:
@@ -85,7 +138,7 @@ def cmd_simulate(args) -> int:
         blocks = [_simulate_block(jobs[0])]
     else:
         # the pool starts all its processes at once, so none beyond the jobs
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with simulate_pool(min(workers, len(jobs))) as pool:
             blocks = list(pool.map(_simulate_block, jobs))
     # path identity depends only on (seed, stream, path index), and repr
     # is the same in every process, so the CSV is independent of the split
@@ -172,9 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
-    sim.add_argument("--workers", type=positive_int, default=available_cpus(),
-                     help="parallel path blocks, default: the CPUs this "
-                          "process may use (results independent of it)")
+    sim.add_argument("--workers", type=positive_int, default=default_workers(),
+                     help="parallel path blocks, default: on Linux the CPUs "
+                          "this process may use, elsewhere 1 (results "
+                          "independent of it)")
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run a named invariant suite")

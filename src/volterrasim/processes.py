@@ -100,7 +100,7 @@ def csv_cells(values: np.ndarray) -> list[str]:
     repr is the shortest text that reads back as the same float, and is
     the same in every process, so blocks may be formatted anywhere.
     """
-    return [",".join(map(repr, row)) for row in values.tolist()]
+    return [",".join(map(repr, row.tolist())) for row in values]
 
 
 def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:

@@ -61,11 +61,14 @@ class TestSimulate:
         assert (a / "manifest.txt").read_bytes() == \
             (b / "manifest.txt").read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
+    def test_worker_count_does_not_change_output(self, tmp_path,
+                                                 monkeypatch):
         # 2 paths on 3 workers; 7; and 70: one block of 64 and one of 6 on
         # one worker, blocks of 24, 24 and 22 on three.  Without --workers
-        # the CLI uses every CPU.  Ensemble.to_csv of the same paths made
-        # in this process writes the same bytes.
+        # the CLI uses every CPU, here made 3 so that the default runs the
+        # pool on any machine.  Ensemble.to_csv of the same paths made in
+        # this process writes the same bytes.
+        monkeypatch.setattr(cli, "default_workers", lambda: 3)
         for process in ("fbm", "rosenblatt"):
             for paths in (2, 7, 70):
                 lib = tmp_path / f"{process}{paths}.csv"
@@ -87,8 +90,10 @@ class TestSimulate:
         class RecordingPool:
             """Runs the jobs in this process; records the requested size."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
+                if cli.FORK_POOL:
+                    assert mp_context.get_start_method() == "fork"
 
             def __enter__(self):
                 return self
@@ -106,9 +111,43 @@ class TestSimulate:
                    "--out", str(tmp_path / "a")) == 0
         assert sizes == [2]
         # the default is every CPU this process may use
+        monkeypatch.setattr(cli, "default_workers", lambda: 4)
         assert run(*argv, "--paths", "1000", "--out", str(tmp_path / "b")) == 0
-        n = cli.available_cpus()
-        assert sizes[1:] == ([] if n == 1 else [min(n, 1000)])
+        assert sizes == [2, 4]
+
+    @pytest.mark.skipif(not cli.FORK_POOL, reason="the pool forks on Linux")
+    def test_pool_workers_run_one_blas_thread(self):
+        # a worker's BLAS call starts no thread, and the caller's BLAS
+        # thread counts come back after the pool
+        script = """if True:
+            import ctypes, os
+            import numpy as np
+            from volterrasim import cli
+
+            def counts():
+                with open("/proc/self/maps") as fh:
+                    libs = {l.split()[-1] for l in fh if "openblas" in l}
+                return sorted(getattr(lib, get)()
+                              for lib in map(ctypes.CDLL, libs)
+                              for get, _ in cli.OPENBLAS_THREADS
+                              if hasattr(lib, get))
+
+            def threads_after_blas():
+                a = np.ones((600, 600))
+                a @ a
+                return len(os.listdir("/proc/self/task"))
+
+            before = counts()
+            with cli.simulate_pool(1) as pool:
+                print(pool.submit(threads_after_blas).result())
+            print(before == counts() and len(before) > 0)
+        """
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.split() == ["1", "True"]
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # fbm's FFTs and Rosenblatt's convolution never call BLAS, and the
@@ -173,8 +212,10 @@ class TestSimulate:
         ("fbm", "--grid", "0.35:1:10", "whole number"),
     ])
     def test_bad_value_is_usage_error_with_a_clear_message(
-            self, tmp_path, capsys, process, flag, value, word):
-        # the last occurrence of a repeated flag wins
+            self, tmp_path, capsys, monkeypatch, process, flag, value, word):
+        # the last occurrence of a repeated flag wins; 3 default workers
+        # make the errors cross from the pool on any machine
+        monkeypatch.setattr(cli, "default_workers", lambda: 3)
         assert run("simulate", "--process", process, "--H", "0.75",
                    "--grid", "0:1:11", "--paths", "3", "--seed", "1",
                    "--out", str(tmp_path / "x"), flag, value) == 2
