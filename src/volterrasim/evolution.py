@@ -250,48 +250,6 @@ def check_H(spec: EquationSpec) -> tuple:
     return float(val), bool(np.isfinite(val))
 
 
-def load_equation_config(path) -> EquationSpec:
-    """EquationSpec from a plain-text INI file.
-
-    Schema version 1::
-
-        [equation]
-        schema = 1
-        lambdas = 0.5 1.0 2.0 4.0
-        phi = 1 0; 0 1; 0.5 0.5; 1 1
-        x0 = zero            ; or "x-infinity", or a vector "0.1 0 0 0"
-
-        [noise]
-        H = 0.7
-        families = fbm fbm
-    """
-    import configparser
-
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read equation config {path}")
-    try:
-        eq = cp["equation"]
-        if eq.get("schema", "1").strip() != "1":
-            raise ConfigError(f"unsupported schema {eq['schema']!r}")
-        lambdas = np.array([float(x) for x in eq["lambdas"].split()])
-        phi_rows = [row.split() for row in eq["phi"].split(";")]
-        phi_matrix = np.array([[float(x) for x in row] for row in phi_rows])
-        x0_raw = eq.get("x0", "zero").strip()
-        if x0_raw == "zero":
-            x0 = None
-        elif x0_raw == "x-infinity":
-            x0 = "x-infinity"
-        else:
-            x0 = np.array([float(x) for x in x0_raw.split()])
-        nz = cp["noise"]
-        noise = NoiseSpec(tuple(nz["families"].split()), float(nz["H"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad equation config {path}: {exc}") from exc
-    return EquationSpec(lambdas, phi_matrix, noise, x0=x0)
-
-
 def check_limit_condition(spec: EquationSpec) -> tuple:
     """(value, finite?) of int_0^inf |S(r) Phi|_HS^(2/(1+2 alpha)) dr.
 

@@ -11,6 +11,7 @@ Toeplitz, and act on a path as an FFT convolution.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .rng import normal_matrix
 
 PROCESSES = ("fbm", "rosenblatt")
 PATH_BLOCK = 64  # path columns drawn and transformed together
+LINK_BLOCK = 1 << 16  # link-matrix elements built at a time for order 2
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,10 @@ class GridSpec:
         """Nearest grid index; error if farther than dt/2 (plus slack)."""
         i = int(round((t - self.t_min) / self.dt))
         i = min(max(i, 0), self.n_points - 1)
-        if abs(self.times[i] - t) > 0.5 * self.dt * (1.0 + 1e-9):
+        t_i = self.t_min + self.dt * i  # times[i], without building times
+        if abs(t_i) < 1e-12:
+            t_i = 0.0
+        if abs(t_i - t) > 0.5 * self.dt * (1.0 + 1e-9):
             raise AlignmentError(f"time {t} is off-grid (dt={self.dt})")
         return i
 
@@ -514,16 +519,20 @@ class CumulantSpec:
                 raise ValueError(f"interval endpoints must satisfy s < t, got {(s, t)}")
 
 
-def _cell_averaged_link(x_edges: np.ndarray, H: float) -> np.ndarray:
-    """Cell-pair averages of |x - y|^(H-1) from the exact double primitive."""
+def _cell_averaged_link(x_edges: np.ndarray, H: float, lo: int,
+                        hi: int) -> np.ndarray:
+    """Rows lo:hi of the cell-pair averages of |x - y|^(H-1).
+
+    Each average comes from the exact double primitive at the four
+    corners of its cell pair.
+    """
     e = x_edges
     p = H + 1.0
     w = np.diff(e)
     # d2/dxdy of -|x - y|^(H+1) / (H (H+1)) is |x - y|^(H-1)
-    prim = -np.abs(e[:, None] - e[None, :]) ** p / (H * p)
+    prim = -np.abs(e[lo:hi + 1, None] - e[None, :]) ** p / (H * p)
     cell = prim[1:, 1:] - prim[1:, :-1] - prim[:-1, 1:] + prim[:-1, :-1]
-    del prim  # at most two n x n arrays are alive at a time
-    cell /= w[:, None] * w[None, :]
+    cell /= w[lo:hi, None] * w[None, :]
     return cell
 
 
@@ -532,17 +541,30 @@ def _cyclic_sum(spec: CumulantSpec, H: float, edges: np.ndarray) -> float:
 
     Collapses to Tr((P_theta A)^k) where A is the cell-averaged link
     matrix and P_theta weights each cell by width times the sum of
-    thetas of intervals containing it.
+    thetas of intervals containing it.  A is symmetric, so order 2 is
+    pw' (A o A) pw, with pw the diagonal of P_theta, summed over row
+    blocks of LINK_BLOCK elements with no n x n array; orders 3 and 4
+    take the one product B^2 of B = P_theta A.
     """
     mids = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)
-    A = _cell_averaged_link(edges, H)
-    weight = np.zeros(len(w))
+    n = len(w)
+    weight = np.zeros(n)
     for (s, t), th in zip(spec.intervals, spec.thetas):
         weight += th * ((mids > s) & (mids < t))
-    A *= (w * weight)[:, None]  # P_theta A, in place
-    Bk = np.linalg.matrix_power(A, spec.order)
-    return float(np.trace(Bk))
+    pw = w * weight
+    if spec.order == 2:
+        rows = max(1, LINK_BLOCK // (n + 1))
+        total = 0.0
+        for lo in range(0, n, rows):
+            A = _cell_averaged_link(edges, H, lo, lo + rows)
+            A *= A
+            total += pw[lo:lo + rows] @ (A @ pw)
+        return float(total)
+    B = _cell_averaged_link(edges, H, 0, n)
+    B *= pw[:, None]  # P_theta A, in place
+    B2 = B @ B
+    return float(np.einsum("ij,ji->", B2, B2 if spec.order == 4 else B))
 
 
 def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
@@ -556,6 +578,10 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     """
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie in (1/2, 1), got {H}")
+    if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
+        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"rtol must be a positive finite number, got {rtol!r}")
     if all(th == 0.0 for th in spec.thetas):
         return 0.0
     # an even number of fine cells between endpoints: all are coarse edges

@@ -15,7 +15,6 @@ from volterrasim.evolution import (
     covariance_q_infinity,
     covariance_qt,
     hs_norm_sq,
-    load_equation_config,
     sample_x_infinity,
     solve_mild,
 )
@@ -289,54 +288,6 @@ class TestLimitSuite:
         ok, lines = suite_limit(0.7, 600, seed=76)
         assert not ok
         assert lines[-1].endswith("FAIL")
-
-
-class TestConfig:
-    def test_roundtrip(self, tmp_path):
-        cfg = tmp_path / "eq.cfg"
-        cfg.write_text(
-            "[equation]\n"
-            "schema = 1\n"
-            "lambdas = 0.5 1.0\n"
-            "phi = 1 0; 0.5 0.5\n"
-            "x0 = x-infinity\n"
-            "[noise]\n"
-            "H = 0.8\n"
-            "families = fbm rosenblatt\n"
-        )
-        spec = load_equation_config(cfg)
-        assert spec.n_modes == 2
-        assert spec.noise.families == ("fbm", "rosenblatt")
-        assert spec.x0 == "x-infinity"
-        np.testing.assert_allclose(spec.phi_matrix, [[1, 0], [0.5, 0.5]])
-
-    def test_vector_x0(self, tmp_path):
-        cfg = tmp_path / "eq.cfg"
-        cfg.write_text(
-            "[equation]\nlambdas = 1.0\nphi = 2\nx0 = 0.25\n"
-            "[noise]\nH = 0.7\nfamilies = fbm\n")
-        spec = load_equation_config(cfg)
-        np.testing.assert_allclose(spec.x0, [0.25])
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_equation_config(tmp_path / "nope.cfg")
-
-    def test_bad_schema(self, tmp_path):
-        cfg = tmp_path / "eq.cfg"
-        cfg.write_text(
-            "[equation]\nschema = 2\nlambdas = 1\nphi = 1\n"
-            "[noise]\nH = 0.7\nfamilies = fbm\n")
-        with pytest.raises(ConfigError):
-            load_equation_config(cfg)
-
-    def test_malformed_phi(self, tmp_path):
-        cfg = tmp_path / "eq.cfg"
-        cfg.write_text(
-            "[equation]\nlambdas = 1\nphi = abc\n"
-            "[noise]\nH = 0.7\nfamilies = fbm\n")
-        with pytest.raises(ConfigError):
-            load_equation_config(cfg)
 
 
 def test_rosenblatt_driven_solution_runs():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,13 @@ class TestGridSpec:
         g = GridSpec(0.0, 1.0, 101)
         assert g.index_of(0.5) == 50
         assert g.index_of(0.5 + 1e-12) == 50
+
+    @pytest.mark.parametrize("grid", [
+        (-2.0, 2.0, 401), (-1.3, 2.6, 40), (0.0, 1.0, 101),
+        (1.0, 2.0, 11), (-3.0, -1.0, 41), (0.25, 7.5, 30)])
+    def test_index_of_every_grid_time(self, grid):
+        g = GridSpec(*grid)
+        assert [g.index_of(t) for t in g.times] == list(range(g.n_points))
 
     def test_off_grid_rejected(self):
         g = GridSpec(0.0, 1.0, 11)
@@ -354,6 +362,73 @@ class TestCumulants:
         with pytest.raises(ValueError):
             CumulantSpec(((0.0, 1.0),), (1.0, 2.0), 2)
 
+    @pytest.mark.parametrize("kw", [
+        dict(n_nodes=0), dict(n_nodes=-5), dict(n_nodes=2.5),
+        dict(rtol=0.0), dict(rtol=-1e-3), dict(rtol=float("nan")),
+        dict(rtol=float("inf"))])
+    def test_argument_validation(self, kw):
+        spec = CumulantSpec(((0.0, 1.0),), (1.0,), 2)
+        with pytest.raises(ValueError):
+            rosenblatt_cumulant(spec, 0.75, **kw)
+
+    def test_kappa4_value(self):
+        # kappa_k = 2^(k-1) (k-1)! sum lambda^k for a second-chaos law, so
+        # Cauchy-Schwarz puts kappa_4 in [3 kappa_3^2 / (2 kappa_2), 12 kappa_2^2]
+        H = 0.75
+        k2, k3, k4 = (rosenblatt_cumulant(
+            CumulantSpec(((0.0, 1.0),), (1.0,), k), H) for k in (2, 3, 4))
+        assert 1.5 * k3 ** 2 / k2 < k4 < 12.0 * k2 ** 2
+        # the dense matrix-power value
+        assert k4 == pytest.approx(9.192276127903712, rel=1e-12)
+        k4_long = rosenblatt_cumulant(CumulantSpec(((0.0, 2.0),), (1.0,), 4), H)
+        assert k4_long == pytest.approx(2.0 ** (4 * H) * k4, rel=1e-12)
+
+    def test_order2_memory_stays_linear(self):
+        spec = CumulantSpec(((0.0, 1.0),), (1.0,), 2)
+        tracemalloc.start()
+        try:
+            rosenblatt_cumulant(spec, 0.75, n_nodes=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one 2049 x 2049 link matrix alone would take 33.6 MB
+        assert peak < 16e6
+
+
+def _dense_cyclic_sum(spec, H, edges):
+    """Tr((P_theta A)^k) by dense matrix powers."""
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    w = np.diff(edges)
+    weight = sum(th * ((mids > s) & (mids < t))
+                 for (s, t), th in zip(spec.intervals, spec.thetas))
+    A = processes._cell_averaged_link(edges, H, 0, len(w))
+    return np.trace(np.linalg.matrix_power((w * weight)[:, None] * A,
+                                           spec.order))
+
+
+class TestCyclicSum:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_matrix_power(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        H = rng.uniform(0.55, 0.95)
+        n_int = int(rng.integers(1, 4))
+        ends = np.sort(rng.uniform(-1.0, 2.0, size=(n_int, 2)), axis=1)
+        thetas = rng.normal(size=n_int)  # overlapping, either sign
+        edges = np.unique(np.concatenate([
+            ends.ravel(), rng.uniform(ends.min(), ends.max(), 304 - 2 * n_int)]))
+        # 303 cells in blocks of 7 rows: the last block is short
+        monkeypatch.setattr(processes, "LINK_BLOCK", 7 * len(edges))
+        assert len(edges) == 304
+        for order in (2, 3, 4):
+            spec = CumulantSpec(tuple(map(tuple, ends)), tuple(thetas), order)
+            assert processes._cyclic_sum(spec, H, edges) == pytest.approx(
+                _dense_cyclic_sum(spec, H, edges), rel=1e-12)
+
+    def test_link_rows_match_whole(self):
+        edges = np.sort(np.random.default_rng(1).uniform(-1.0, 1.0, 50))
+        whole = processes._cell_averaged_link(edges, 0.7, 0, 49)
+        np.testing.assert_array_equal(
+            processes._cell_averaged_link(edges, 0.7, 11, 30), whole[11:30])
 
 
 def _increments(ens, intervals, paths):
