@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -168,6 +169,21 @@ class TestSimulate:
                     capture_output=True)
                 outs.append((out / "ensemble.csv").read_bytes())
             assert outs[0] == outs[1], process
+
+    @pytest.mark.parametrize("process, grid, md5", [
+        ("fbm", "-2:2:801", "db2410ea57f210b18a080498cfba1cdc"),
+        ("rosenblatt", "-1:1:201", "27ff98a7bc414c42224f9456fd53c0d3"),
+    ])
+    def test_readme_md5(self, tmp_path, process, grid, md5):
+        # the two ensembles whose md5 the README gives
+        H = "0.7" if process == "fbm" else "0.75"
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert run("simulate", "--process", process, "--H", H,
+                       "--grid", grid, "--paths", "40", "--seed", "7",
+                       "--workers", workers, "--out", str(out)) == 0
+            digest = hashlib.md5((out / "ensemble.csv").read_bytes())
+            assert digest.hexdigest() == md5, workers
 
     def test_unreachable_tail_tol_prints_only_the_error(self, tmp_path,
                                                         capsys):
