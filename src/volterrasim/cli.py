@@ -45,6 +45,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for seeds and stream ids, which must be at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, "
+                                         f"got {text}")
+    return value
+
+
 def default_workers() -> int:
     """Every CPU this process may run on where the pool forks, else 1."""
     return len(os.sched_getaffinity(0)) if FORK_POOL else 1
@@ -216,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Hurst parameter in (1/2, 1)")
     sim.add_argument("--grid", required=True, help="t_min:t_max:n_points")
     sim.add_argument("--paths", type=positive_int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--stream", type=int, default=0)
+    sim.add_argument("--seed", type=nonnegative_int, required=True)
+    sim.add_argument("--stream", type=nonnegative_int, default=0)
     sim.add_argument("--tail-tol", type=float, default=1e-3,
                      help="Rosenblatt truncation variance bound")
     sim.add_argument("--substeps", type=int, default=4,
@@ -237,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--H", type=float, default=0.7)
     ver.add_argument("--paths", type=positive_int, default=600)
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", type=nonnegative_int, default=None)
     ver.add_argument("--x0", choices=("x-infinity",), default="x-infinity",
                      help="initial condition for the stationarity suite")
     ver.add_argument("--out", default=None, help="report directory")

@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AlignmentError, ConsistencyError, QuadratureError
-from .kernels import VolterraKernel, cov_R, phi
+from .kernels import VolterraKernel, cov_R
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -47,17 +47,14 @@ class StepFunction:
 
 
 def kstar(kernel: VolterraKernel, f: StepFunction, r: float) -> np.ndarray:
-    """(K* f)(r); telescopes through the kernel antiderivative for steps."""
-    bp = f.breakpoints
-    if r >= bp[-1]:
-        return np.zeros(f.dim)
-    out = np.zeros(f.dim)
-    for j in range(len(f.values)):
-        hi, lo = bp[j + 1], max(bp[j], r)
-        if hi <= r:
-            continue
-        out += f.values[j] * (kernel.eval(hi, r) - kernel.eval(lo, r))
-    return out
+    """(K* f)(r); telescopes through the kernel antiderivative for steps.
+
+    One eval over the breakpoints clipped below at r, whose differences
+    are the pieces' kernel increments (0 for a piece that ends by r,
+    since eval vanishes for t <= r), then one product with the values.
+    """
+    ends = np.maximum(f.breakpoints, r)
+    return np.diff(kernel.eval(ends, r)) @ f.values
 
 
 def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
@@ -123,36 +120,6 @@ def _kstar_l2_sq(kernel: VolterraKernel, f: StepFunction) -> float:
         raise QuadratureError("K* L2 norm above tolerance",
                               value=total, estimate=err)
     return total
-
-
-def inner_product_quadrature(kernel: VolterraKernel, f, g,
-                             s1, t1, s2, t2) -> float:
-    """int int <f(u), g(v)> phi(u, v) du dv over [s1,t1] x [s2,t2].
-
-    f, g: callables returning vectors.  Oracle for E <i(f), i(g)>.  The
-    inner quad is split at the diagonal v = u; its largest error times
-    t1 - s1 is added to the outer error.
-    """
-    if t1 == s1 or t2 == s2:
-        return 0.0
-    inner_errs = [0.0]
-
-    def inner(u):
-        def h(v):
-            return float(np.atleast_1d(f(u)) @ np.atleast_1d(g(v))) \
-                * phi(kernel, u, v)
-
-        pts = [u] if s2 < u < t2 else None
-        val, e = integrate.quad(h, s2, t2, points=pts, limit=200)
-        inner_errs.append(e)
-        return val
-
-    val, err = integrate.quad(inner, s1, t1, limit=200)
-    err += abs(t1 - s1) * max(inner_errs)
-    if err > max(1e-6 * abs(val), 1e-9):
-        raise QuadratureError("inner product quadrature above tolerance",
-                              value=val, estimate=err)
-    return val
 
 
 def integrate_step(f: StepFunction, paths) -> np.ndarray:

@@ -31,7 +31,8 @@ class VolterraKernel:
 
     eval(t, r) must vanish for t <= r; deriv(u, r) is dK/du for u > r and
     must satisfy |deriv(u, r)| <= regularity_const * (u - r)^(alpha - 1).
-    deriv must accept an array u with a scalar r, and return an array.
+    eval must accept an array t, and deriv an array u, with a scalar r,
+    and return an array.
     """
 
     alpha: float

@@ -179,9 +179,9 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
     is its cumulative sum, anchored at t = 0, which the grid must hold.
 
     Path p is a deterministic function of (seed, stream, p): the FFTs act
-    on each column alone and paths are drawn in blocks of PATH_BLOCK, so
-    results depend neither on how paths are scheduled across workers nor
-    on the BLAS thread count.
+    on each column alone (contiguous, as normal_matrix lays paths out) and
+    paths are drawn in blocks of PATH_BLOCK, so results depend neither on
+    how paths are scheduled across workers nor on the BLAS thread count.
     """
     if not 0.5 < H < 1.0:
         raise ValueError(f"H must lie in (1/2, 1), got {H}")

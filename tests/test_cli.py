@@ -226,6 +226,9 @@ class TestSimulate:
         ("fbm", "--workers", "-3", "--workers"),
         ("fbm", "--workers", "0", "--workers"),
         ("fbm", "--grid", "0.35:1:10", "whole number"),
+        ("fbm", "--seed", "-1", "--seed: must be a non-negative integer"),
+        ("rosenblatt", "--stream", "-2",
+         "--stream: must be a non-negative integer"),
     ])
     def test_bad_value_is_usage_error_with_a_clear_message(
             self, tmp_path, capsys, monkeypatch, process, flag, value, word):
@@ -288,6 +291,12 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert "suite result" not in out
         assert "--x0" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run("verify", "--suite", "isometry", "--seed", "-1") == 2
+        out, err = capsys.readouterr()
+        assert "suite result" not in out
+        assert "--seed: must be a non-negative integer" in err
 
     def test_limit_suite_too_few_paths_is_usage_error(self, capsys):
         assert run("verify", "--suite", "limit", "--seed", "1",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from volterrasim.errors import AlignmentError, ConsistencyError, QuadratureError
 from volterrasim.integration import (
@@ -8,11 +9,10 @@ from volterrasim.integration import (
     check_law_symmetries,
     d_norm_sq,
     definite_integral,
-    inner_product_quadrature,
     integrate_step,
     kstar,
 )
-from volterrasim.kernels import FbmKernel, cov_R
+from volterrasim.kernels import FbmKernel, cov_R, phi
 from volterrasim.processes import Ensemble, GridSpec
 from volterrasim.rng import substream
 from volterrasim.suites import _random_step_function
@@ -124,6 +124,35 @@ class TestDNorm:
         lp_sq = np.sum(np.abs(f.values[:, 0]) ** (1.0 / H)
                        * np.diff(f.breakpoints)) ** (2.0 * H)
         assert d_norm_sq(k, f) <= 10.0 * lp_sq
+
+
+def inner_product_quadrature(kernel, f, g, s1, t1, s2, t2) -> float:
+    """int int <f(u), g(v)> phi(u, v) du dv over [s1,t1] x [s2,t2].
+
+    f, g: callables returning vectors.  Oracle for E <i(f), i(g)>.  The
+    inner quad is split at the diagonal v = u; its largest error times
+    t1 - s1 is added to the outer error.
+    """
+    if t1 == s1 or t2 == s2:
+        return 0.0
+    inner_errs = [0.0]
+
+    def inner(u):
+        def h(v):
+            return float(np.atleast_1d(f(u)) @ np.atleast_1d(g(v))) \
+                * phi(kernel, u, v)
+
+        pts = [u] if s2 < u < t2 else None
+        val, e = integrate.quad(h, s2, t2, points=pts, limit=200)
+        inner_errs.append(e)
+        return val
+
+    val, err = integrate.quad(inner, s1, t1, limit=200)
+    err += abs(t1 - s1) * max(inner_errs)
+    if err > max(1e-6 * abs(val), 1e-9):
+        raise QuadratureError("inner product quadrature above tolerance",
+                              value=val, estimate=err)
+    return val
 
 
 class TestInnerProductQuadrature:
