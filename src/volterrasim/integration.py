@@ -49,12 +49,11 @@ class StepFunction:
 def kstar(kernel: VolterraKernel, f: StepFunction, r: float) -> np.ndarray:
     """(K* f)(r); telescopes through the kernel antiderivative for steps.
 
-    One eval over the breakpoints clipped below at r, whose differences
-    are the pieces' kernel increments (0 for a piece that ends by r,
-    since eval vanishes for t <= r), then one product with the values.
+    One eval over the breakpoints, whose differences are the pieces'
+    kernel increments (eval vanishes for t <= r, so a piece is cut at r),
+    then one product with the values.
     """
-    ends = np.maximum(f.breakpoints, r)
-    return np.diff(kernel.eval(ends, r)) @ f.values
+    return np.diff(kernel.eval(f.breakpoints, r)) @ f.values
 
 
 def d_norm_sq(kernel: VolterraKernel, f: StepFunction,

@@ -170,13 +170,12 @@ class TestSimulate:
                 outs.append((out / "ensemble.csv").read_bytes())
             assert outs[0] == outs[1], process
 
-    @pytest.mark.parametrize("process, grid, md5", [
-        ("fbm", "-2:2:801", "db2410ea57f210b18a080498cfba1cdc"),
-        ("rosenblatt", "-1:1:201", "27ff98a7bc414c42224f9456fd53c0d3"),
+    @pytest.mark.parametrize("process, H, grid, md5", [
+        ("fbm", "0.7", "-2:2:801", "db2410ea57f210b18a080498cfba1cdc"),
+        ("rosenblatt", "0.75", "-1:1:201", "27ff98a7bc414c42224f9456fd53c0d3"),
     ])
-    def test_readme_md5(self, tmp_path, process, grid, md5):
+    def test_readme_md5(self, tmp_path, process, H, grid, md5):
         # the two ensembles whose md5 the README gives
-        H = "0.7" if process == "fbm" else "0.75"
         for workers in ("1", "2"):
             out = tmp_path / workers
             assert run("simulate", "--process", process, "--H", H,
