@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .errors import VolterraError
+from .errors import ConfigError, VolterraError
 from .processes import PROCESSES, GridSpec, csv_cells, simulate, write_csv
 
 MANIFEST_SCHEMA = "1"
@@ -115,6 +115,15 @@ def write_manifest(path, command: str, params: dict) -> None:
             fh.write(f"{key} = {params[key]}\n")
 
 
+def make_out_dir(path) -> None:
+    """Create the output directory, or ConfigError if it cannot be one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {path} as a directory: "
+                          f"{exc.strerror}") from exc
+
+
 def _simulate_block(args_tuple):
     """One block of paths, returned as its CSV cells (see csv_cells)."""
     process, grid_args, *rest = args_tuple
@@ -124,7 +133,7 @@ def _simulate_block(args_tuple):
 def cmd_simulate(args) -> int:
     grid = parse_grid(args.grid)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    make_out_dir(out_dir)
     csv_path = os.path.join(out_dir, "ensemble.csv")
     manifest_path = os.path.join(out_dir, "manifest.txt")
     for p in (csv_path, manifest_path):
@@ -149,8 +158,9 @@ def cmd_simulate(args) -> int:
         # the pool starts all its processes at once, so none beyond the jobs
         with simulate_pool(min(workers, len(jobs))) as pool:
             blocks = list(pool.map(_simulate_block, jobs))
-    # path identity depends only on (seed, stream, path index), and repr
-    # is the same in every process, so the CSV is independent of the split
+    # path identity depends only on (seed, stream, path index), and the
+    # text of a value is the same in every process, so the CSV is
+    # independent of the split
     write_csv(csv_path, grid, args.paths, blocks)
     write_manifest(manifest_path, "simulate", {
         "process": args.process,
@@ -178,6 +188,7 @@ def cmd_verify(args) -> int:
         return 2
     seed = 0 if args.seed is None else args.seed
     if args.out:
+        make_out_dir(args.out)
         report = os.path.join(args.out, f"verify_{args.suite}.txt")
         if os.path.exists(report) and not args.force:
             print(f"error: {report} exists (use --force to overwrite)",
@@ -199,7 +210,6 @@ def cmd_verify(args) -> int:
     for line in lines:
         print(line)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         with open(report, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         write_manifest(os.path.join(args.out, "manifest.txt"), "verify", {

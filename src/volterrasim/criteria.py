@@ -83,40 +83,47 @@ class JQuadResult:
     converged: bool
 
 
-def _j_truncated(beta: float, H: float, T: float, order: int = 32) -> float:
-    """Direct nested Gauss-Legendre quadrature of J over the box [0, T]^2.
+def _j_panel(beta: float, H: float, lo: float, hi: float, rule) -> float:
+    """J's integral over the u panel [lo, hi], by a tensor Gauss rule.
 
     By symmetry J(T) = 2 int_0^T du int_0^u dv D(u, v) (u - v)^(2H-2)
     with D the xi profile int_0^inf (u+xi+1)^(-beta) (v+xi+1)^(-beta).
     The substitution sigma = (u - v)^(2H-1) absorbs the singular weight
     exactly; the half-line xi integral is mapped to (0, 1) rationally.
-    Fixed-order tensor rules keep the whole evaluation vectorised.
+    rule is a Gauss-Legendre (nodes, weights) pair; the fixed-order
+    tensor rule keeps the whole evaluation vectorised.
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = rule
     x01 = 0.5 * (x + 1.0)  # nodes on (0, 1)
     w01 = 0.5 * w
     p = 2.0 * H - 1.0
+    u = lo + (hi - lo) * x01  # (order,)
+    wu = (hi - lo) * w01
+    sigma = np.outer(u ** p, x01)  # (order, order) on (0, u^p)
+    wsig = np.outer(u ** p, w01) / p
+    v = u[:, None] - sigma ** (1.0 / p)
+    # xi = m t / (1 - t) with scale m = 1 + (u + v) / 2
+    m = 1.0 + 0.5 * (u[:, None] + v)
+    t = x01[None, None, :]
+    xi = m[:, :, None] * t / (1.0 - t)
+    jac = m[:, :, None] * w01[None, None, :] / (1.0 - t) ** 2
+    integrand = ((u[:, None, None] + xi + 1.0)
+                 * (v[:, :, None] + xi + 1.0)) ** (-beta)
+    D = np.sum(integrand * jac, axis=2)
+    return float(wu @ np.sum(D * wsig, axis=1))
 
-    # geometric u panels resolve the (1 + u)-power decay
+
+def _j_truncated(panel, T: float, order: int = 32) -> float:
+    """J over the box [0, T]^2: panel(lo, hi, order) summed over u panels.
+
+    Geometric u panels resolve the (1 + u)-power decay.
+    """
     edges = [0.0, 1.0]
     while edges[-1] < T:
         edges.append(min(4.0 * edges[-1], T))
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
-        u = lo + (hi - lo) * x01  # (order,)
-        wu = (hi - lo) * w01
-        sigma = np.outer(u ** p, x01)  # (order, order) on (0, u^p)
-        wsig = np.outer(u ** p, w01) / p
-        v = u[:, None] - sigma ** (1.0 / p)
-        # xi = m t / (1 - t) with scale m = 1 + (u + v) / 2
-        m = 1.0 + 0.5 * (u[:, None] + v)
-        t = x01[None, None, :]
-        xi = m[:, :, None] * t / (1.0 - t)
-        jac = m[:, :, None] * w01[None, None, :] / (1.0 - t) ** 2
-        integrand = ((u[:, None, None] + xi + 1.0)
-                     * (v[:, :, None] + xi + 1.0)) ** (-beta)
-        D = np.sum(integrand * jac, axis=2)
-        total += float(wu @ np.sum(D * wsig, axis=1))
+        total += panel(lo, hi, order)
     return 2.0 * total
 
 
@@ -135,8 +142,19 @@ def j_quadrature(beta: float, H: float,
     """
     if beta <= 0.5:
         raise ValueError("beta must exceed 1/2")
+    # the truncation levels share their inner panels: each (panel, order)
+    # and each order's rule is computed once
+    rules, panels = {}, {}
+
+    def panel(lo, hi, order):
+        if (lo, hi, order) not in panels:
+            if order not in rules:
+                rules[order] = np.polynomial.legendre.leggauss(order)
+            panels[lo, hi, order] = _j_panel(beta, H, lo, hi, rules[order])
+        return panels[lo, hi, order]
+
     # a common order keeps the level differences free of rule error
-    v = [_j_truncated(beta, H, truncation * 2.0 ** k) for k in range(6)]
+    v = [_j_truncated(panel, truncation * 2.0 ** k) for k in range(6)]
     q = 2.0 * beta - 2.0 * H - 1.0
     if q <= 0.05:
         return JQuadResult(v[-1], abs(v[-1] - v[-2]), False)
@@ -155,7 +173,7 @@ def j_quadrature(beta: float, H: float,
     # re-evaluating the top level at a higher order
     # the factor 2 covers what an order-48 probe itself cannot see
     rule_err = 2.0 * abs(
-        _j_truncated(beta, H, truncation * 32.0, order=48) - v[-1])
+        _j_truncated(panel, truncation * 32.0, order=48) - v[-1])
     err = abs(e2 - e1) + 0.5 * abs(e2 - a1[-1]) + rule_err
     if err > 1e-3 * max(abs(e2), 1e-300):
         raise QuadratureError(

@@ -7,7 +7,9 @@ the product kernel is reduced to an off-diagonal quadratic form in
 independent Gaussian cell increments, with exact per-cell integrals of
 the singular weight (u - y)^(H/2 - 1) and a geometrically stretched grid
 for the far past.  On the fine cells near the grid the weights are
-Toeplitz, and act on a path as an FFT convolution.
+Toeplitz, and act on a path as an FFT convolution.  Ensembles are
+written as CSV, each value as its shortest round-trip decimal, the
+bytes repr gives (csvtext).
 """
 
 import math
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft, special
 
+from . import csvtext
 from .errors import AlignmentError, ConfigError, FactorizationError, QuadratureError
 from .kernels import fbm_cov
 from .rng import normal_matrix
@@ -99,13 +102,14 @@ class Ensemble:
         write_csv(path, self.grid, self.n_paths, [csv_cells(self.values)])
 
 
-def csv_cells(values: np.ndarray) -> list[str]:
-    """Each row of a block of path columns as CSV text, repr per value.
+def csv_cells(values: np.ndarray) -> list[bytes]:
+    """Each row of a block of path columns as CSV text.
 
-    repr is the shortest text that reads back as the same float, and is
-    the same in every process, so blocks may be formatted anywhere.
+    Each value is its shortest round-trip decimal, the bytes repr gives
+    (see csvtext).  They are the same in every process, so blocks may be
+    formatted anywhere.
     """
-    return [",".join(map(repr, row.tolist())) for row in values]
+    return csvtext.format_rows(values)
 
 
 def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:
@@ -113,11 +117,12 @@ def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:
 
     blocks are csv_cells of consecutive path columns, in path order.
     """
-    with open(path, "w", newline="") as fh:
-        fh.write("t," + ",".join(f"path_{p}" for p in range(n_paths)))
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(f"t,{','.join(f'path_{p}' for p in range(n_paths))}\n".encode())
         for t, *cells in zip(grid.times.tolist(), *blocks):
-            fh.write(f"{t!r},{','.join(cells)}\n")
+            fh.write(f"{t!r},".encode())
+            fh.write(b",".join(cells))
+            fh.write(b"\n")
 
 
 def ensemble_from_csv(path) -> Ensemble:

@@ -207,6 +207,16 @@ class TestSimulate:
         assert run(*argv) == 2
         assert run(*argv, "--force") == 0
 
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert run("simulate", "--process", "fbm", "--H", "0.7",
+                   "--grid", "0:1:11", "--paths", "3", "--seed", "1",
+                   "--out", str(out)) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ") and "--out" in err
+        assert out.read_text() == "not a directory\n"
+
     def test_bad_H_is_usage_error(self, tmp_path):
         code = run("simulate", "--process", "fbm", "--H", "0.3",
                    "--grid", "0:1:11", "--paths", "3", "--seed", "1",
@@ -275,6 +285,16 @@ class TestVerify:
         assert out == ""
         assert "exists" in err
         assert (tmp_path / "verify_isometry.txt").read_text() == "old\n"
+
+    def test_out_that_is_a_file_refused_before_the_suite_runs(self, tmp_path,
+                                                              capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert run("verify", "--suite", "criteria", "--out", str(out)) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err.startswith("error: ") and "--out" in err
+        assert out.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("paths", ["0", "1"])
     def test_isometry_needs_two_paths(self, capsys, paths):
