@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .errors import ConfigError, VolterraError
-from .processes import PROCESSES, GridSpec, csv_cells, simulate, write_csv
+from .csvtext import format_rows
+from .processes import PROCESSES, GridSpec, simulate, write_csv
 
 MANIFEST_SCHEMA = "1"
 # The simulate pool forks on Linux: a forked worker starts without
@@ -36,22 +37,22 @@ def parse_grid(text: str) -> GridSpec:
     return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
 
 
-def positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, "
-                                         f"got {text}")
-    return value
+def int_at_least(low: int, kind: str):
+    """argparse type for integers of at least low, called kind integers."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, "
+                                             f"got {text}")
+        return value
+
+    # argparse names the type in its "invalid ... value" message
+    parse.__name__ = kind.replace("-", "") + "_int"
+    return parse
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type for seeds and stream ids, which must be at least 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, "
-                                         f"got {text}")
-    return value
+positive_int = int_at_least(1, "positive")  # counts
+nonnegative_int = int_at_least(0, "non-negative")  # seeds and stream ids
 
 
 def default_workers() -> int:
@@ -115,41 +116,39 @@ def write_manifest(path, command: str, params: dict) -> None:
             fh.write(f"{key} = {params[key]}\n")
 
 
-def make_out_dir(path) -> None:
-    """Create the output directory, or ConfigError if it cannot be one."""
+def out_paths(args, *names) -> list:
+    """Paths of the outputs names in the directory --out, made if needed.
+
+    ConfigError if --out cannot be a directory, or if an output exists
+    and --force is not given.
+    """
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot use --out {path} as a directory: "
+        raise ConfigError(f"cannot use --out {args.out} as a directory: "
                           f"{exc.strerror}") from exc
+    paths = [os.path.join(args.out, name) for name in names]
+    for p in paths:
+        if os.path.exists(p) and not args.force:
+            raise ConfigError(f"{p} exists (use --force to overwrite)")
+    return paths
 
 
-def _simulate_block(args_tuple):
-    """One block of paths, returned as its CSV cells (see csv_cells)."""
-    process, grid_args, *rest = args_tuple
-    return csv_cells(simulate(process, GridSpec(*grid_args), *rest).values)
+def _simulate_block(job):
+    """One block of paths, returned as its CSV text rows (format_rows)."""
+    return format_rows(simulate(*job).values)
 
 
 def cmd_simulate(args) -> int:
     grid = parse_grid(args.grid)
-    out_dir = args.out
-    make_out_dir(out_dir)
-    csv_path = os.path.join(out_dir, "ensemble.csv")
-    manifest_path = os.path.join(out_dir, "manifest.txt")
-    for p in (csv_path, manifest_path):
-        if os.path.exists(p) and not args.force:
-            print(f"error: {p} exists (use --force to overwrite)",
-                  file=sys.stderr)
-            return 2
-
-    grid_args = (grid.t_min, grid.t_max, grid.n_points)
+    csv_path, manifest_path = out_paths(args, "ensemble.csv", "manifest.txt")
     workers = args.workers
     chunk = -(-args.paths // workers)  # ceil division
     jobs = []
     offset = 0
     while offset < args.paths:
         n_block = min(chunk, args.paths - offset)
-        jobs.append((args.process, grid_args, args.H, n_block, args.seed,
+        jobs.append((args.process, grid, args.H, n_block, args.seed,
                      args.stream, offset, args.tail_tol, args.substeps))
         offset += n_block
     if len(jobs) == 1:
@@ -183,17 +182,11 @@ def cmd_verify(args) -> int:
 
     stochastic = args.suite not in ("kernel", "criteria")
     if stochastic and args.seed is None:
-        print("error: --seed is required for stochastic suites",
-              file=sys.stderr)
-        return 2
+        raise ConfigError("--seed is required for stochastic suites")
     seed = 0 if args.seed is None else args.seed
     if args.out:
-        make_out_dir(args.out)
-        report = os.path.join(args.out, f"verify_{args.suite}.txt")
-        if os.path.exists(report) and not args.force:
-            print(f"error: {report} exists (use --force to overwrite)",
-                  file=sys.stderr)
-            return 2
+        report, manifest_path = out_paths(args, f"verify_{args.suite}.txt",
+                                          "manifest.txt")
     if args.suite == "kernel":
         ok, lines = suites.suite_kernel()
     elif args.suite == "isometry":
@@ -212,7 +205,7 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(report, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        write_manifest(os.path.join(args.out, "manifest.txt"), "verify", {
+        write_manifest(manifest_path, "verify", {
             "suite": args.suite,
             "H": repr(args.H),
             "paths": args.paths,
@@ -291,10 +284,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except VolterraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (VolterraError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

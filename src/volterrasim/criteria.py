@@ -16,41 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import QuadratureError
+from .errors import check_estimate, check_hurst
 
 DIVERGENT = math.inf
-
-
-@dataclass(frozen=True)
-class ShiftExample:
-    """Left-shift semigroup example: phi(xi) = (1 + xi)^(-beta)."""
-
-    beta: float
-    H: float
-
-    def __post_init__(self):
-        if self.beta <= 0.5:
-            raise ValueError(f"beta must exceed 1/2, got {self.beta}")
-        if not 0.5 < self.H < 1.0:
-            raise ValueError(f"H must lie in (1/2, 1), got {self.H}")
-
-    @property
-    def threshold(self) -> float:
-        return self.H + 0.5
-
-
-@dataclass(frozen=True)
-class HeatExample:
-    """Dirichlet heat equation on the unit box, lambda_n = pi^2 |n|^2."""
-
-    d: int
-    H: float
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
-        if not 0.5 < self.H < 1.0:
-            raise ValueError(f"H must lie in (1/2, 1), got {self.H}")
 
 
 def j_closed_form(beta: float, H: float) -> float:
@@ -175,37 +143,29 @@ def j_quadrature(beta: float, H: float,
     rule_err = 2.0 * abs(
         _j_truncated(panel, truncation * 32.0, order=48) - v[-1])
     err = abs(e2 - e1) + 0.5 * abs(e2 - a1[-1]) + rule_err
-    if err > 1e-3 * max(abs(e2), 1e-300):
-        raise QuadratureError(
-            "J quadrature: truncation error above tolerance "
-            "(increase truncation)", value=e2, estimate=err)
+    check_estimate("J quadrature (increase truncation)", e2, err, 1e-3,
+                   1e-3 * 1e-300)
     return JQuadResult(e2, err, True)
 
 
 def shift_trace_criterion(beta: float, H: float) -> dict:
-    """Limiting-measure verdict for the shift example.
+    """Limiting-measure verdict for the left-shift semigroup example.
 
-    The fBm-driven equation admits a limiting measure iff
-    J(beta, H) < inf, i.e. beta > H + 1/2; the Wiener-driven one needs
-    only the square-integrability of phi(xi + r), i.e. beta > 1.
+    The symbol is phi(xi) = (1 + xi)^(-beta) with beta > 1/2.  The
+    fBm-driven equation admits a limiting measure iff J(beta, H) < inf,
+    i.e. beta > H + 1/2; the Wiener-driven one needs only the
+    square-integrability of phi(xi + r), i.e. beta > 1.
     sup_t Tr q_t = H (2H - 1) J(beta, H).
     """
-    ex = ShiftExample(beta, H)
-    exists = beta > ex.threshold
-    if beta > H:
-        j = j_closed_form(beta, H)
-        regime = "closed-form"
-    else:
-        # the 2F1 reduction needs beta > H; below it only the
-        # quadrature divergence trend is available
-        j = DIVERGENT
-        regime = "quadrature-trend (beta <= H)"
-    sup_trace = H * (2.0 * H - 1.0) * j
+    if beta <= 0.5:
+        raise ValueError(f"beta must exceed 1/2, got {beta}")
+    check_hurst(H)
+    # the 2F1 reduction needs beta > H; below it J diverges too
+    j = j_closed_form(beta, H) if beta > H else DIVERGENT
     return {
-        "exists": exists,
+        "exists": beta > H + 0.5,
         "wiener_exists": beta > 1.0,
-        "sup_trace": sup_trace,
-        "regime": regime,
+        "sup_trace": H * (2.0 * H - 1.0) * j,
     }
 
 
@@ -224,11 +184,15 @@ def hs_heat_norm_sq(d: int, r) -> np.ndarray:
 def heat_admissibility(d: int, H: float) -> dict:
     """Admissibility verdict d < 4H plus the fitted HS decay exponent.
 
-    Samples r in [1e-4, 1e-1]; the exponent is the log-log slope over
-    the first decade, where the k = 0 lattice correction to the theta
-    sum is negligible and the power law -d/2 is clean.
+    The Dirichlet heat equation on the unit box in d = 1, 2 or 3
+    dimensions has lambda_n = pi^2 |n|^2.  Samples r in [1e-4, 1e-1];
+    the exponent is the log-log slope over the first decade, where the
+    k = 0 lattice correction to the theta sum is negligible and the
+    power law -d/2 is clean.
     """
-    HeatExample(d, H)  # validates d and H
+    if d not in (1, 2, 3):
+        raise ValueError(f"d must be 1, 2 or 3, got {d}")
+    check_hurst(H)
     r = np.logspace(-4, -1, 60)
     y = hs_heat_norm_sq(d, r)
     asym = r <= 1e-3

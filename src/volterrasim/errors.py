@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks that raise them."""
+
+import numpy as np
 
 
 class VolterraError(Exception):
@@ -34,5 +36,24 @@ class ConsistencyError(VolterraError):
         self.values = values
 
 
-class ConfigError(VolterraError):
-    """Invalid run configuration or scheme parameters."""
+class ConfigError(VolterraError, ValueError):
+    """Invalid run configuration or scheme parameters; also a ValueError."""
+
+
+def check_hurst(H) -> None:
+    """ConfigError unless H lies in (1/2, 1), where alpha = H - 1/2 is regular."""
+    if not 0.5 < H < 1.0:
+        raise ConfigError(f"H must lie in (1/2, 1), got {H}")
+
+
+def check_estimate(what: str, value, estimate, rtol: float,
+                   atol: float = 0.0) -> None:
+    """QuadratureError when estimate > max(rtol max|value|, atol).
+
+    A NaN value or estimate passes, as max keeps its first argument.
+    """
+    tol = max(rtol * np.max(np.abs(value)), atol)
+    if estimate > tol:
+        raise QuadratureError(f"{what}: error estimate {estimate:.3g} above "
+                              f"tolerance {tol:.3g}",
+                              value=value, estimate=estimate)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import ConfigError, QuadratureError
+from .errors import ConfigError, check_estimate, check_hurst
 from .processes import PROCESSES, Ensemble, GridSpec, simulate
 
 # RosenblattScheme.for_grid settings of the solvers' Rosenblatt noise
@@ -37,8 +37,7 @@ class NoiseSpec:
         for fam in fams:
             if fam not in PROCESSES:
                 raise ConfigError(f"unknown noise family {fam!r}")
-        if not 0.5 < self.H < 1.0:
-            raise ConfigError(f"H must lie in (1/2, 1), got {self.H}")
+        check_hurst(self.H)
         object.__setattr__(self, "families", fams)
 
     @property
@@ -214,15 +213,8 @@ def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
     kink = math.copysign(abs(r - s) ** p, r - s)
     val, err = integrate.quad_vec(f, -s ** p, r ** p, epsabs=0.0, epsrel=1e-10,
                                   norm="max", points=[0.0, kink])
-    _check_estimate("covariance_g", val, err)
+    check_estimate("covariance_g quadrature", val, err, 1e-8)
     return (spec.phi_matrix @ spec.phi_matrix.T) * H * mass * val
-
-
-def _check_estimate(name: str, val, err: float) -> None:
-    """Raise QuadratureError when err exceeds 1e-8 of the largest |val|."""
-    if err > 1e-8 * np.max(np.abs(val)):
-        raise QuadratureError(f"{name} quadrature above tolerance",
-                              value=val, estimate=err)
 
 
 def _exp_mass(c: np.ndarray, length: float) -> np.ndarray:
@@ -246,7 +238,7 @@ def check_H(spec: EquationSpec) -> tuple:
 
     val, err = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
                               limit=200)
-    _check_estimate("check_H", val, err)
+    check_estimate("check_H quadrature", val, err, 1e-8)
     return float(val), bool(np.isfinite(val))
 
 
@@ -267,6 +259,6 @@ def check_limit_condition(spec: EquationSpec) -> tuple:
     t_star = max(1.0, 5.0 / lam_min)
     head, err = integrate.quad(lambda r: hs_norm_sq(spec, r) ** p, 0.0,
                                t_star, epsabs=0.0, epsrel=1e-10, limit=200)
-    _check_estimate("check_limit_condition", head, err)
+    check_estimate("check_limit_condition quadrature", head, err, 1e-8)
     tail = hs_norm_sq(spec, t_star) ** p / (2.0 * lam_min * p)
     return float(head + tail), True

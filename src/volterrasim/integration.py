@@ -11,7 +11,7 @@ insists they agree.
 import numpy as np
 from scipy import integrate
 
-from .errors import AlignmentError, ConsistencyError, QuadratureError
+from .errors import AlignmentError, ConsistencyError, check_estimate
 from .kernels import VolterraKernel, cov_R
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -115,9 +115,7 @@ def _kstar_l2_sq(kernel: VolterraKernel, f: StepFunction) -> float:
         0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
     total = head + tail
     err += e + 2.0 * sigma_far * abs(mapped(w_far) - mapped(2.0 * w_far))
-    if err > 1e-6 * abs(total):
-        raise QuadratureError("K* L2 norm above tolerance",
-                              value=total, estimate=err)
+    check_estimate("K* L2 norm", total, err, 1e-6)
     return total
 
 

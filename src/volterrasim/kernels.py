@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .errors import QuadratureError
+from .errors import check_estimate, check_hurst
 
 @dataclass(frozen=True)
 class VolterraKernel:
@@ -68,8 +68,7 @@ class FbmKernel(VolterraKernel):
     """
 
     def __init__(self, H: float):
-        if not 0.5 < H < 1.0:
-            raise ValueError(f"H must lie in (1/2, 1), got {H}")
+        check_hurst(H)
         C_H = fbm_normalizing_constant(H)
         c_H = C_H * (H - 0.5)
         object.__setattr__(self, "H", H)
@@ -165,11 +164,7 @@ def phi_quadrature(kernel: VolterraKernel, u: float, v: float) -> float:
         val, e = integrate.quad(f, 0.0, upper, limit=200)
         total += val
         err += e
-    if err > max(1e-6 * abs(total), 1e-12):
-        raise QuadratureError(
-            "phi quadrature: error estimate above tolerance",
-            value=total, estimate=err,
-        )
+    check_estimate("phi quadrature", total, err, 1e-6, 1e-12)
     return total
 
 
@@ -231,9 +226,7 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
                             for f, a, b in pieces], axis=0))
     (val, err), (coarse, _) = runs
     err += abs(val - coarse)
-    if err > max(1e-6 * abs(val), 1e-9):
-        raise QuadratureError("cov_R quadrature above tolerance",
-                              value=val, estimate=err)
+    check_estimate("cov_R quadrature", val, err, 1e-6, 1e-9)
     return sign * float(val)
 
 

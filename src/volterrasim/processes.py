@@ -20,7 +20,8 @@ import numpy as np
 from scipy import fft, special
 
 from . import csvtext
-from .errors import AlignmentError, ConfigError, FactorizationError, QuadratureError
+from .errors import AlignmentError, ConfigError, FactorizationError, \
+    check_estimate, check_hurst
 from .kernels import fbm_cov
 from .rng import normal_matrix
 
@@ -99,23 +100,16 @@ class Ensemble:
         return self.values[self.grid.index_of(t)]
 
     def to_csv(self, path) -> None:
-        write_csv(path, self.grid, self.n_paths, [csv_cells(self.values)])
-
-
-def csv_cells(values: np.ndarray) -> list[bytes]:
-    """Each row of a block of path columns as CSV text.
-
-    Each value is its shortest round-trip decimal, the bytes repr gives
-    (see csvtext).  They are the same in every process, so blocks may be
-    formatted anywhere.
-    """
-    return csvtext.format_rows(values)
+        write_csv(path, self.grid, self.n_paths,
+                  [csvtext.format_rows(self.values)])
 
 
 def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:
     """Write an ensemble CSV: header, then per time its blocks' cells.
 
-    blocks are csv_cells of consecutive path columns, in path order.
+    blocks are csvtext.format_rows of consecutive path columns, in path
+    order.  A value's text is the same in every process, so blocks may be
+    formatted anywhere.
     """
     with open(path, "wb") as fh:
         fh.write(f"t,{','.join(f'path_{p}' for p in range(n_paths))}\n".encode())
@@ -188,8 +182,7 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
     paths are drawn in blocks of PATH_BLOCK, so results depend neither on
     how paths are scheduled across workers nor on the BLAS thread count.
     """
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"H must lie in (1/2, 1), got {H}")
+    check_hurst(H)
     i0 = _origin_index(grid)
     n_steps = grid.n_points - 1
     m = 2 * n_steps
@@ -253,8 +246,7 @@ class RosenblattScheme:
     tail_tol: float
 
     def __post_init__(self):
-        if not 0.5 < self.H < 1.0:
-            raise ValueError(f"H must lie in (1/2, 1), got {self.H}")
+        check_hurst(self.H)
         e = np.asarray(self.y_edges, float)
         if e.ndim != 1 or len(e) < 33 or np.any(np.diff(e) <= 0):
             raise ConfigError("chaos grid must be increasing with >= 32 cells")
@@ -276,8 +268,7 @@ class RosenblattScheme:
 
         The far cells grow geometrically by a factor 1.3.
         """
-        if not 0.5 < H < 1.0:
-            raise ConfigError(f"H must lie in (1/2, 1), got {H}")
+        check_hurst(H)
         if substeps < 1:
             raise ConfigError(f"substeps must be at least 1, got {substeps}")
         if not tail_tol > 0.0:
@@ -581,8 +572,7 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     and its bisection; the coarse/fine discrepancy after extrapolation is
     the error estimate.
     """
-    if not 0.5 < H < 1.0:
-        raise ValueError(f"H must lie in (1/2, 1), got {H}")
+    check_hurst(H)
     if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
         raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
     if not 0.0 < rtol < math.inf:
@@ -600,10 +590,8 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     p = 2.0 * H - 1.0
     r = 2.0 ** (-p)
     s_extrap = (s_fine - r * s_coarse) / (1.0 - r)
-    err = abs(s_extrap - s_fine)
-    if err > rtol * max(abs(s_extrap), 1e-12):
-        raise QuadratureError("cyclic integral did not converge",
-                              value=s_extrap, estimate=err)
+    check_estimate("cyclic integral", s_extrap, abs(s_extrap - s_fine), rtol,
+                   rtol * 1e-12)
     k = spec.order
     sig = rosenblatt_sigma(H)
     return 2.0 ** (k - 1) * math.factorial(k - 1) * sig ** k * s_extrap

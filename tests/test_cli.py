@@ -1,5 +1,7 @@
 import hashlib
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -10,10 +12,36 @@ import pytest
 from volterrasim import cli
 from volterrasim.cli import main, parse_grid, write_manifest
 from volterrasim.processes import GridSpec, ensemble_from_csv, simulate
+from volterrasim.suites import SUITES
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def readme_commands():
+    """Each `volterrasim ...` line of the README's sh blocks, as argv."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("volterrasim ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+class TestReadmeCommands:
+    def test_every_command_and_suite_is_shown(self):
+        shown = {tuple(argv[:3]) for argv in README_COMMANDS}
+        assert {("simulate", "--process", p) for p in ("fbm", "rosenblatt")} \
+            | {("verify", "--suite", s) for s in SUITES} <= shown
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_parses(self, argv):
+        # parsed only, nothing runs
+        cli.build_parser().parse_args(cli._join_grid_flag(argv))
 
 
 class TestParseGrid:
@@ -285,6 +313,21 @@ class TestVerify:
         assert out == ""
         assert "exists" in err
         assert (tmp_path / "verify_isometry.txt").read_text() == "old\n"
+
+    def test_manifest_of_a_simulate_run_refused(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("simulate", "--process", "fbm", "--H", "0.7",
+                   "--grid", "0:1:11", "--paths", "3", "--seed", "1",
+                   "--out", str(out)) == 0
+        manifest = (out / "manifest.txt").read_text()
+        capsys.readouterr()
+        assert run("verify", "--suite", "criteria", "--out", str(out)) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err == (f"error: {out / 'manifest.txt'} exists "
+                       f"(use --force to overwrite)\n")
+        assert (out / "manifest.txt").read_text() == manifest
+        assert not (out / "verify_criteria.txt").exists()
 
     def test_out_that_is_a_file_refused_before_the_suite_runs(self, tmp_path,
                                                               capsys):

@@ -6,8 +6,6 @@ from scipy.integrate import IntegrationWarning
 
 from volterrasim.criteria import (
     DIVERGENT,
-    HeatExample,
-    ShiftExample,
     heat_admissibility,
     hs_heat_norm_sq,
     j_closed_form,
@@ -17,22 +15,18 @@ from volterrasim.criteria import (
 
 
 class TestExamples:
-    def test_shift_threshold(self):
-        ex = ShiftExample(beta=1.3, H=0.7)
-        assert ex.threshold == pytest.approx(1.2)
-
     def test_shift_validation(self):
-        with pytest.raises(ValueError):
-            ShiftExample(0.5, 0.7)
-        with pytest.raises(ValueError):
-            ShiftExample(1.2, 0.4)
+        with pytest.raises(ValueError, match="beta"):
+            shift_trace_criterion(0.5, 0.7)
+        with pytest.raises(ValueError, match="H must lie"):
+            shift_trace_criterion(1.2, 0.4)
 
     def test_heat_validation(self):
-        HeatExample(3, 0.8)
-        with pytest.raises(ValueError):
-            HeatExample(4, 0.8)
-        with pytest.raises(ValueError):
-            HeatExample(2, 0.3)
+        heat_admissibility(3, 0.8)
+        with pytest.raises(ValueError, match="d must be"):
+            heat_admissibility(4, 0.8)
+        with pytest.raises(ValueError, match="H must lie"):
+            heat_admissibility(2, 0.3)
 
 
 class TestJClosedForm:
@@ -116,10 +110,11 @@ class TestShiftTraceCriterion:
         out = shift_trace_criterion(1.1, 0.7)
         assert out["wiener_exists"] and not out["exists"]
 
-    def test_low_beta_regime_flagged(self):
+    def test_beta_at_most_H_is_divergent(self):
+        # below beta = H the closed form does not apply
         out = shift_trace_criterion(0.65, 0.7)
         assert not out["exists"]
-        assert "quadrature" in out["regime"]
+        assert out["sup_trace"] == DIVERGENT
 
 
 class TestHeat:
