@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .errors import ConfigError, VolterraError
+from .errors import ConfigError, VolterraError, check_hurst
 from .csvtext import format_rows
 from .processes import PROCESSES, GridSpec, simulate, write_csv
 
@@ -180,6 +180,7 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     from . import suites
 
+    check_hurst(args.H)
     stochastic = args.suite not in ("kernel", "criteria")
     if stochastic and args.seed is None:
         raise ConfigError("--seed is required for stochastic suites")
@@ -205,13 +206,12 @@ def cmd_verify(args) -> int:
     if args.out:
         with open(report, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        write_manifest(manifest_path, "verify", {
-            "suite": args.suite,
-            "H": repr(args.H),
-            "paths": args.paths,
-            "seed": args.seed,
-            "x0": args.x0,
-        })
+        # the deterministic suites read none of the run parameters
+        params = {"suite": args.suite}
+        if stochastic:
+            params.update(H=repr(args.H), paths=args.paths, seed=args.seed,
+                          x0=args.x0)
+        write_manifest(manifest_path, "verify", params)
     print("suite result:", "pass" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -69,15 +69,15 @@ def _j_panel(beta: float, H: float, lo: float, hi: float, rule) -> float:
     wu = (hi - lo) * w01
     sigma = np.outer(u ** p, x01)  # (order, order) on (0, u^p)
     wsig = np.outer(u ** p, w01) / p
-    v = u[:, None] - sigma ** (1.0 / p)
-    # xi = m t / (1 - t) with scale m = 1 + (u + v) / 2
-    m = 1.0 + 0.5 * (u[:, None] + v)
-    t = x01[None, None, :]
-    xi = m[:, :, None] * t / (1.0 - t)
-    jac = m[:, :, None] * w01[None, None, :] / (1.0 - t) ** 2
-    integrand = ((u[:, None, None] + xi + 1.0)
-                 * (v[:, :, None] + xi + 1.0)) ** (-beta)
-    D = np.sum(integrand * jac, axis=2)
+    half = 0.5 * sigma ** (1.0 / p)  # (u - v) / 2
+    # xi = m t / (1 - t) with scale m = 1 + (u + v) / 2, so u + xi + 1 and
+    # v + xi + 1 are m / (1 - t) +- half, and dxi = m w01 / (1 - t)^2
+    m = 1.0 + u[:, None] - half
+    integrand = np.multiply.outer(m, 1.0 / (1.0 - x01))  # (order,)*3
+    integrand *= integrand
+    integrand -= (half * half)[:, :, None]
+    np.power(integrand, -beta, out=integrand)
+    D = m * (integrand @ (w01 / (1.0 - x01) ** 2))
     return float(wu @ np.sum(D * wsig, axis=1))
 
 

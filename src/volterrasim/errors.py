@@ -48,12 +48,11 @@ def check_hurst(H) -> None:
 
 def check_estimate(what: str, value, estimate, rtol: float,
                    atol: float = 0.0) -> None:
-    """QuadratureError when estimate > max(rtol max|value|, atol).
-
-    A NaN value or estimate passes, as max keeps its first argument.
+    """QuadratureError when estimate > max(rtol max|value|, atol), or when
+    the value or the estimate holds a NaN.
     """
     tol = max(rtol * np.max(np.abs(value)), atol)
-    if estimate > tol:
+    if not estimate <= tol:
         raise QuadratureError(f"{what}: error estimate {estimate:.3g} above "
                               f"tolerance {tol:.3g}",
                               value=value, estimate=estimate)

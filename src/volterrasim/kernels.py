@@ -12,8 +12,9 @@ generates all increment covariances
 
 The fractional-Brownian-motion kernel admits closed forms for both.  For
 a generic kernel, phi comes from adaptive quadrature with explicit tail
-control derived from the regularity bound, and R from one integral over
-r of the product of two kernel increments built from dK/du.
+control derived from the regularity bound, and R from one tanh-sinh
+integral over r, vectorised over its pieces, of the product of two kernel
+increments built from dK/du.
 """
 
 import math
@@ -23,7 +24,16 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
-from .errors import check_estimate, check_hurst
+from .errors import QuadratureError, check_estimate, check_hurst
+
+# tanh-sinh's stopping tolerance in cov_R_quadrature, its default.  The
+# estimate it stops on is a heuristic, so rtol times the summed |pieces|
+# is added to it.  Over 3,980 rectangles of the fBm kernel taken as a
+# generic one (H 0.51 to 0.99, spans 0.001 to 40, offsets up to 5000), the
+# error against an mpmath fbm_cov exceeded the rest of the estimate by at
+# most 0.075 of that term.
+COV_R_RTOL = np.finfo(float).eps ** 0.75
+
 
 @dataclass(frozen=True)
 class VolterraKernel:
@@ -31,8 +41,8 @@ class VolterraKernel:
 
     eval(t, r) must vanish for t <= r; deriv(u, r) is dK/du for u > r and
     must satisfy |deriv(u, r)| <= regularity_const * (u - r)^(alpha - 1).
-    eval must accept an array t, and deriv an array u, with a scalar r,
-    and return an array.
+    eval must accept an array t with a scalar r; deriv must broadcast
+    arrays u and r, and both return an array.
     """
 
     alpha: float
@@ -191,10 +201,14 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
     """R = int D(s1, t1; r) D(s2, t2; r) dr over r < min(t1, t2) (Fubini).
 
     D(s, t; r) = int_{max(s,r)}^t deriv(u, r) du uses deriv, never eval,
-    so d_norm_sq's K* check stays independent.  One quad per piece; the
-    tail r = min(s1, s2) - w is mapped by sigma = (1 + w)^(2 alpha - 1).
-    The error adds the quad errors and the change under a halved inner
-    rule.  A swapped interval (t < s) contributes with sign.
+    so d_norm_sq's K* check stays independent.  One vectorised tanh-sinh
+    call covers every piece: the tail r = min(s1, s2) - w, mapped onto
+    (0, 1) by tau = 1 - (1 + w / span)^(2 alpha - 1), and the pieces
+    between breakpoints, at whose ends D is singular.  It stops no earlier
+    than level 4: at levels 2 and 3 its estimate fell below the error by
+    up to 500 times.  The error adds tanh-sinh's estimates, the change
+    under a halved inner rule and a term for what the estimate misses
+    (COV_R_RTOL).  A swapped interval (t < s) contributes with sign.
     """
     sign = 1.0
     if t1 < s1:
@@ -204,47 +218,79 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
     if t1 == s1 or t2 == s2:
         return 0.0
     low, top = min(s1, s2), min(t1, t2)
-    pts = sorted(x for x in (s1, t1, s2, t2) if x <= top)
+    span = top - low
+    pts = sorted(float(x) for x in (s1, t1, s2, t2) if x <= top)
+    pieces = [(a, b) for a, b in zip(pts, pts[1:]) if b > a]
+    # r = origin + y, with y in (0, b - a) on a piece from a to b, and
+    # y = -w on the tail from low, which comes first and is mapped to tau
+    origin = np.array([low] + [a for a, _ in pieces])
+    length = np.array([1.0] + [b - a for a, b in pieces])
+    is_tail = np.arange(len(origin)) == 0
     p = 2.0 * kernel.alpha - 1.0
-    # beyond w = 1e12 the mapped tail integrand is held at its value there
-    sigma_far = (1.0 + 1e12 * (1.0 + abs(low) + top - low)) ** p
+    # tau puts w = 0, where D is singular, at 0, where floats are dense;
+    # beyond w = 1e16 (span + |low|) the integrand is held at its value
+    tau_far = -math.expm1(p * math.log1p(1e16 * (1.0 + abs(low) / span)))
     runs = []
     for nodes in (32, 16):  # the inner rule, then its order-halving probe
-        rule = np.polynomial.legendre.leggauss(nodes)
+        x, wts = np.polynomial.legendre.leggauss(nodes)
+        rule = (0.5 * (x + 1.0), 0.5 * wts)  # on (0, 1)
 
-        def prod(r, rule=rule):
-            return _increment(kernel, s1, t1, r, rule) \
-                * _increment(kernel, s2, t2, r, rule)
+        def f(x, origin, length, is_tail, rule=rule):
+            w = span * np.expm1(np.log1p(-np.minimum(x, tau_far)) / p)
+            y = np.where(is_tail, -w, x)
+            jac = np.where(is_tail, span / -p * (1.0 + w / span) ** (1.0 - p),
+                           1.0)
+            v = _increment(kernel, s1, t1, origin, y, rule) \
+                * _increment(kernel, s2, t2, origin, y, rule) * jac
+            # tanh-sinh puts a neighbour's value in place of a value that
+            # is not finite; only at the ends, of weight 0, may one be
+            if not np.all(np.isfinite(v)[(x > 0.0) & (x < length)]):
+                raise QuadratureError("cov_R quadrature: integrand not "
+                                      "finite inside a piece")
+            return v
 
-        def tail(sigma, prod=prod):
-            w = max(sigma, sigma_far) ** (1.0 / p) - 1.0
-            return prod(low - w) * (1.0 + w) ** (1.0 - p) / -p
-
-        pieces = [(tail, 0.0, 1.0)] + [(prod, a, b) for a, b in
-                                       zip(pts, pts[1:]) if b > a]
-        runs.append(np.sum([integrate.quad(f, a, b, limit=200)
-                            for f, a, b in pieces], axis=0))
-    (val, err), (coarse, _) = runs
-    err += abs(val - coarse)
+        res = integrate.tanhsinh(f, 0.0, length,
+                                 args=(origin, length, is_tail), minlevel=4,
+                                 rtol=COV_R_RTOL)
+        if np.any(res.status != 0):
+            raise QuadratureError(
+                f"cov_R quadrature: tanh-sinh status {res.status.tolist()} "
+                f"on the tail and the pieces {pieces}",
+                value=res.integral.sum(), estimate=res.error.sum())
+        runs.append(res)
+    fine, coarse = runs
+    val = fine.integral.sum()
+    err = fine.error.sum() + abs(val - coarse.integral.sum()) \
+        + COV_R_RTOL * np.abs(fine.integral).sum()
     check_estimate("cov_R quadrature", val, err, 1e-6, 1e-9)
     return sign * float(val)
 
 
-def _increment(kernel: VolterraKernel, s, t, r, rule) -> float:
-    """D(s, t; r) for r < t, by Gauss-Legendre in x = (u - r)^alpha.
+def _increment(kernel: VolterraKernel, s, t, origin, y, rule):
+    """D(s, t; r) at r = origin + y < t, by Gauss-Legendre in (u - r)^alpha.
 
-    x_hi - x_lo is formed without cancellation.  An offset that rounds to
-    zero is moved to the next float above r; the realized offset u - r
-    then rescales the singular factor, deriv (u - r)^(1 - alpha).
+    origin and y are arrays; the offsets s - r and t - r are formed from
+    s - origin and y, so they keep their precision however far r is from
+    0.  rule holds nodes and weights on (0, 1), whose axis is last.
+    x_hi - x_lo is formed without cancellation or overflow.  An offset
+    that rounds to zero is moved to the next float above r; the realized
+    offset u - r then rescales the singular factor, deriv (u - r)^(1 - alpha).
     """
     a = kernel.alpha
-    lo = max(s - r, 0.0) ** a
-    width = (t - r) ** a if r >= s else \
-        lo * math.expm1(a * math.log1p((t - s) / (s - r)))
+    origin, y = origin[..., None], y[..., None]
+    d = (s - origin) - y
+    below = d > 0.0
+    lo = np.where(below, d, 0.0) ** a
+    # log1p((t - s) / d), whose ratio overflows as d -> 0
+    log1p_q = np.logaddexp(0.0, np.log(t - s)
+                           - np.log(np.where(below, d, 1.0)))
+    width = np.where(below, lo * np.expm1(a * log1p_q),
+                     ((t - origin) - y) ** a)
+    r = origin + y
     x, wts = rule
-    u = np.maximum(r + (lo + 0.5 * width * (x + 1.0)) ** (1.0 / a),
-                   np.nextafter(r, np.inf))
-    return 0.5 * width / a * (kernel.deriv(u, r) * (u - r) ** (1.0 - a)) @ wts
+    u = np.maximum(r + (lo + width * x) ** (1.0 / a), np.nextafter(r, np.inf))
+    return (width / a)[..., 0] \
+        * ((kernel.deriv(u, r) * (u - r) ** (1.0 - a)) @ wts)
 
 
 def check_regularity(kernel: VolterraKernel, pairs) -> dict:

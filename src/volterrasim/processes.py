@@ -277,6 +277,11 @@ class RosenblattScheme:
         dy = grid.dt / substeps
         near_lo = grid.t_min - 1.0
         near = np.arange(near_lo, grid.t_max + 0.5 * dy, dy)
+        if near[-1] < grid.t_max - 1e-12:
+            # the arange stops short of t_max (1 is no whole number of
+            # cells, or rounding piled up): lay the edges down from t_max
+            n_cells = math.ceil((grid.t_max - near_lo) / dy - 1e-9)
+            near = grid.t_max - dy * np.arange(n_cells, -1, -1)
         # depth below near_lo needed so the analytic tail bound meets tail_tol
         base = rosenblatt_tail_bound(H, span, 1.0)
         # checked in log space: the power itself overflows for tiny tail_tol
@@ -285,7 +290,7 @@ class RosenblattScheme:
                 f"tail tolerance {tail_tol} unreachable "
                 f"(bound at unit depth {base:.3g})")
         depth = (tail_tol / base) ** (1.0 / (H - 1.0))
-        far = [near_lo]
+        far = [near[0]]
         step = dy
         while far[-1] > near_lo - depth:
             step *= 1.3

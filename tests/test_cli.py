@@ -79,6 +79,19 @@ class TestSimulate:
         assert ens.values.shape == (41, 8)
         assert (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("grid, extra", [
+        ("-3:0:11", ("--substeps", "1")),
+        ("-25:0:501", ("--substeps", "2", "--tail-tol", "1e-2")),
+    ])
+    def test_rosenblatt_grids_whose_chaos_arange_misses_t_max(
+            self, tmp_path, grid, extra):
+        code = run("simulate", "--process", "rosenblatt", "--H", "0.75",
+                   "--grid", grid, "--paths", "3", "--seed", "1",
+                   "--workers", "1", *extra, "--out", str(tmp_path))
+        assert code == 0
+        ens = ensemble_from_csv(tmp_path / "ensemble.csv")
+        assert np.all(np.isfinite(ens.values))
+
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ("simulate", "--process", "fbm", "--H", "0.8",
@@ -338,6 +351,27 @@ class TestVerify:
         assert printed == ""
         assert err.startswith("error: ") and "--out" in err
         assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("suite", ["kernel", "criteria"])
+    def test_deterministic_manifest_records_only_the_suite(self, tmp_path,
+                                                           suite):
+        # --H, --paths and --seed change nothing these suites compute
+        assert run("verify", "--suite", suite, "--H", "0.8", "--paths", "7",
+                   "--seed", "3", "--out", str(tmp_path)) == 0
+        manifest = (tmp_path / "manifest.txt").read_text()
+        assert manifest.endswith("command = verify\nsuite = " + suite + "\n")
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("H", ["5", "0.5", "1", "nan"])
+    def test_hurst_outside_the_range_is_refused(self, tmp_path, capsys,
+                                                suite, H):
+        out = tmp_path / "rep"
+        assert run("verify", "--suite", suite, "--H", H, "--paths", "7",
+                   "--seed", "4", "--out", str(out)) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err == f"error: H must lie in (1/2, 1), got {float(H)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("paths", ["0", "1"])
     def test_isometry_needs_two_paths(self, capsys, paths):

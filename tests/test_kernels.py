@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from volterrasim.errors import QuadratureError
+from volterrasim import kernels
+from volterrasim.errors import QuadratureError, check_estimate
 from volterrasim.integration import StepFunction, _kstar_l2_sq
 from volterrasim.kernels import (
     FbmKernel,
@@ -104,6 +105,72 @@ def test_cov_R_quadrature_square_on_the_diagonal():
         fbm_cov(0.0, 0.5, 0.0, 0.5, 0.7), rel=1e-8)
 
 
+# fbm_cov's four terms cancel, so references take them in long double
+NEEDS_LONG_DOUBLE = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="the reference needs extended precision")
+
+
+def _generic_rectangles():
+    """48 rectangles (H, s1, t1, s2, t2), 12 each at four H."""
+    rng = np.random.default_rng(48)
+    return [(H, *np.sort(rng.uniform(-3.0, 3.0, 2)),
+             *np.sort(rng.uniform(-3.0, 3.0, 2)))
+            for H in (0.55, 0.7, 0.85, 0.95) for _ in range(12)]
+
+
+@NEEDS_LONG_DOUBLE
+def test_cov_R_quadrature_generic_error_is_bounded_by_its_estimate(
+        monkeypatch):
+    # the estimate is the one cov_R_quadrature checks
+    estimates = []
+
+    def spy(what, value, estimate, rtol, atol=0.0):
+        estimates.append(estimate)
+        check_estimate(what, value, estimate, rtol, atol)
+
+    monkeypatch.setattr(kernels, "check_estimate", spy)
+    for H, *rect in _generic_rectangles():
+        exact = float(fbm_cov(*np.array(rect, np.longdouble),
+                              np.longdouble(H)))
+        value = cov_R_quadrature(_generic_fbm_clone(H), *rect)
+        error = abs(value - exact)
+        assert error <= 1e-10 * abs(exact)
+        assert estimates.pop() >= error
+
+
+@NEEDS_LONG_DOUBLE
+def test_cov_R_quadrature_far_from_the_origin():
+    # a piece 0.0019 long at r near 5000: offsets taken from r itself lose
+    # 6 of their 16 digits, and tanh-sinh no longer converges on it
+    rect = 5000.0 + np.array([0.0712, 0.6532, 0.0731, 0.276])
+    exact = float(fbm_cov(*rect.astype(np.longdouble), np.longdouble(0.51)))
+    value = cov_R_quadrature(_generic_fbm_clone(0.51), *rect)
+    assert value == pytest.approx(exact, rel=1e-13)
+
+
+def test_cov_R_quadrature_raises_when_tanh_sinh_fails():
+    # an integrand oscillating in r at frequency 1e4: no level converges
+    base = FbmKernel(0.7)
+    wiggly = VolterraKernel(
+        alpha=base.alpha, eval=base.eval,
+        deriv=lambda u, r: base.deriv(u, r) * (1.0 + 0.1 * np.sin(1e4 * r)),
+        regularity_const=1.1 * base.regularity_const)
+    with pytest.raises(QuadratureError, match=r"tanh-sinh status \[-2"):
+        cov_R_quadrature(wiggly, 0.0, 1.0, 0.0, 1.0)
+
+
+def test_cov_R_quadrature_refuses_a_nan_integrand():
+    # tanh-sinh itself would put a neighbour's value in place of the NaN
+    base = FbmKernel(0.7)
+    holed = VolterraKernel(
+        alpha=base.alpha, eval=base.eval,
+        deriv=lambda u, r: np.where(u - r > 5.0, np.nan, base.deriv(u, r)),
+        regularity_const=base.regularity_const)
+    with pytest.raises(QuadratureError, match="not finite"):
+        cov_R_quadrature(holed, 0.0, 1.0, 0.0, 1.0)
+
+
 TEMPERED_ALPHA = 0.2
 
 
@@ -151,6 +218,19 @@ def test_cov_R_quadrature_tempered_matches_kstar_polarization(rect):
                    - _kstar_norm_sq(k, [s1, t1], [[1.0]])
                    - _kstar_norm_sq(k, [s2, t2], [[1.0]]))
     assert cov_R_quadrature(k, *rect) == pytest.approx(polar, rel=1e-6)
+
+
+def test_cov_R_quadrature_tempered_far_apart():
+    # the intervals are disjoint, so phi is smooth on the rectangle and a
+    # fixed Gauss rule over phi_quadrature is a reference
+    k = _tempered_kernel()
+    xu, wu = np.polynomial.legendre.leggauss(4)
+    xv, wv = np.polynomial.legendre.leggauss(12)
+    u, v = 0.005 * (xu + 1.0), 4.0 + xv
+    ref = 0.005 * sum(wu[i] * wv[j] * phi_quadrature(k, u[i], v[j])
+                      for i in range(4) for j in range(12))
+    assert cov_R_quadrature(k, 0.0, 0.01, 3.0, 5.0) == pytest.approx(
+        ref, rel=1e-9)
 
 
 def test_check_regularity_passes_for_fbm():

@@ -233,6 +233,20 @@ class TestRosenblatt:
         ens = simulate_rosenblatt(grid, scheme, n, seed=5, stream=2)
         assert np.max(np.abs(ens.values - dense)) <= 1e-9
 
+    @pytest.mark.parametrize("grid, substeps, tail_tol", [
+        (GridSpec(-3.0, 0.0, 11), 1, 1e-3),  # 1 is no whole number of cells
+        (GridSpec(-25.0, 0.0, 501), 2, 1e-2),  # an arange that piles up
+    ])
+    def test_chaos_grid_reaches_t_max(self, grid, substeps, tail_tol):
+        scheme = RosenblattScheme.for_grid(grid, 0.75, tail_tol=tail_tol,
+                                           substeps=substeps)
+        e = scheme.y_edges
+        assert e[-1] == grid.t_max
+        dy = grid.dt / substeps
+        near = e[e >= grid.t_min - 1.0 - 1e-9]
+        assert np.allclose(np.diff(near), dy, rtol=1e-9, atol=0.0)
+        assert e[0] <= grid.t_min - 1.0
+
     def test_scheme_validation(self):
         with pytest.raises(ConfigError):
             RosenblattScheme(H=0.75, y_edges=np.linspace(0, 1, 5),
