@@ -291,7 +291,27 @@ class TestSimulate:
         assert word in capsys.readouterr().err
 
 
+# md5 of the standard output of each README `verify` command
+README_VERIFY_MD5 = {
+    "kernel": "c757fc7d624a97f45e0acfd5a13d0ae6",
+    "isometry": "b0d7daa574f34f871dbef4c4f4454195",
+    "law-symmetry": "44dc35e4439b26c8d48e15e75891504d",
+    "stationarity": "14cb82d81e052bf08e61e49ab868760f",
+    "limit": "a13e045829b82ac0171588e8d71e128a",
+    "criteria": "cd299c4cf04b353d834bfb69ec88fc9f",
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("argv", [a for a in readme_commands()
+                                      if a[0] == "verify"],
+                             ids=lambda a: a[2])
+    def test_readme_output_md5(self, capsys, argv):
+        # every printed figure and verdict stays as the README runs print it
+        assert run(*argv) == 0
+        digest = hashlib.md5(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == README_VERIFY_MD5[argv[2]]
+
     def test_kernel_suite_needs_no_seed(self, capsys):
         assert run("verify", "--suite", "kernel") == 0
         out = capsys.readouterr().out
