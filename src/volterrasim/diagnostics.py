@@ -8,7 +8,7 @@ package.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .rng import substream
 
@@ -32,12 +32,20 @@ class TwoSampleReport:
 
 def energy_statistic(X: np.ndarray, Y: np.ndarray) -> float:
     """E-distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| from sample means."""
+    D, nx = _distances(X, Y)
+    in_x = np.zeros((len(D), 1))
+    in_x[:nx] = 1.0
+    return float(_energy_columns(D, in_x)[0])
+
+
+def _distances(X, Y):
+    """(distance matrix of the rows of X stacked over those of Y, len(X))."""
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
-    D = squareform(pdist(np.vstack([X, Y])))
-    in_x = np.zeros((len(D), 1))
-    in_x[:len(X)] = 1.0
-    return float(_energy_columns(D, in_x)[0])
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError("samples must share dimension")
+    Z = np.vstack([X, Y])
+    return cdist(Z, Z), len(X)
 
 
 def _energy_columns(D, in_x):
@@ -45,14 +53,16 @@ def _energy_columns(D, in_x):
 
     Column k marks with 1 the rows of the distance matrix D labelled X;
     every column marks the same number of them.  The block sums follow
-    from two products: (D in_x)[i, k] is the distance from row i to the
-    X group of labelling k, so summing it over the X rows of column k
-    gives the XX block and over the Y rows the XY block.
+    from one product: (D in_x)[i, k] is the distance from row i to the
+    X group of labelling k, and its row sum less that is the distance to
+    the Y group.  Summing these over the X rows of column k gives the XX
+    block and over the Y rows the XY and YY blocks.
     """
     in_y = 1.0 - in_x
     nx = int(in_x[:, 0].sum())
     ny = len(D) - nx
-    to_x, to_y = D @ in_x, D @ in_y
+    to_x = D @ in_x
+    to_y = D.sum(axis=1)[:, None] - to_x
     sxy = np.einsum("ik,ik->k", in_y, to_x)
     sxx = np.einsum("ik,ik->k", in_x, to_x)
     syy = np.einsum("ik,ik->k", in_y, to_y)
@@ -67,35 +77,30 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
 
     Rows are observations.  Distances are computed once.  The observed
     labelling and the n_perm cumulative shuffles of substream(seed, 0)
-    fill the columns of one 0/1 indicator matrix, and one pass of matrix
-    products gives the statistic of every column (see _energy_columns).
-    The p-value counts the shuffles whose statistic reaches the observed
-    one.
+    fill the rows of one 0/1 indicator matrix, and one matrix product
+    with its transpose gives the statistic of every labelling (see
+    _energy_columns).  The p-value counts the shuffles whose statistic
+    reaches the observed one.
     """
     if n_perm < 1:
         raise ValueError("need n_perm >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("need 0 < level < 1")
-    X = np.atleast_2d(np.asarray(X, float))
-    Y = np.atleast_2d(np.asarray(Y, float))
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError("samples must share dimension")
-    if min(len(X), len(Y)) < 50:
+    D, nx = _distances(X, Y)
+    ny = len(D) - nx
+    if min(nx, ny) < 50:
         raise ValueError("need at least 50 observations per sample")
-    nx, ny = len(X), len(Y)
-    D = squareform(pdist(np.vstack([X, Y])))
     if D.max() == 0.0:
         # both samples the same constant: laws trivially equal
         return TwoSampleReport(0.0, 1.0, n_perm, level)
     rng = substream(seed, 0)
     labels = np.arange(nx + ny)
-    in_x = np.zeros((nx + ny, n_perm + 1))
-    in_x[:nx, 0] = 1.0
+    in_x = np.zeros((n_perm + 1, nx + ny))
+    in_x[0, :nx] = 1.0
     for k in range(1, n_perm + 1):
         rng.shuffle(labels)
-        in_x[labels[:nx], k] = 1.0
-    stats = _energy_columns(D, in_x)
+        in_x[k, labels[:nx]] = 1.0
+    stats = _energy_columns(D, in_x.T)
     count = np.count_nonzero(stats[1:] >= stats[0])
     p = (count + 1) / (n_perm + 1)
     return TwoSampleReport(float(stats[0]), float(p), n_perm, level)
-

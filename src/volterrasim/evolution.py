@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, check_estimate, check_hurst
+from .kernels import tanhsinh_sum
 from .processes import PROCESSES, Ensemble, GridSpec, simulate
 
 # RosenblattScheme.for_grid settings of the solvers' Rosenblatt noise
@@ -191,9 +191,10 @@ def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
 
     At fixed w the integral over u in [max(0, w), min(r, s + w)] is
     elementary, and sigma = sign(w) |w|^(2H-1) turns phi dw into H dsigma.
-    One quad_vec call, split at w = 0 and w = r - s, takes the whole
-    array, each entry divided by its exponential mass so that the error
-    test holds entrywise.
+    One tanh-sinh call takes every entry of the array on each of the three
+    pieces between -s^(2H-1), 0, the kink at w = r - s and r^(2H-1), each
+    entry divided by its exponential mass so that the error test holds
+    entrywise.
     """
     if r < 0 or s < 0:
         raise ValueError("need r, s >= 0")
@@ -204,16 +205,17 @@ def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
     lam_i, lam_j = spec.lambdas[:, None], spec.lambdas[None, :]
     mass = _exp_mass(lam_i, r) * _exp_mass(lam_j, s)
 
-    def f(sigma):
-        w = math.copysign(abs(sigma) ** (1.0 / p), sigma)
-        a, b = max(0.0, w), min(r, s + w)  # both exponents are <= 0
+    def f(sigma, lam_i, lam_j, mass):
+        w = np.sign(sigma) * np.abs(sigma) ** (1.0 / p)
+        a, b = np.maximum(0.0, w), np.minimum(r, s + w)  # exponents <= 0
         return np.exp(-lam_i * (r - b) - lam_j * (s + w - b)) \
             * _exp_mass(lam_i + lam_j, b - a) / mass
 
     kink = math.copysign(abs(r - s) ** p, r - s)
-    val, err = integrate.quad_vec(f, -s ** p, r ** p, epsabs=0.0, epsrel=1e-10,
-                                  norm="max", points=[0.0, kink])
-    check_estimate("covariance_g quadrature", val, err, 1e-8)
+    ends = np.sort([-s ** p, 0.0, kink, r ** p])[:, None, None]
+    val, err = tanhsinh_sum("covariance_g quadrature", f, ends[:-1], ends[1:],
+                            args=(lam_i, lam_j, mass), rtol=1e-10)
+    check_estimate("covariance_g quadrature", val, np.max(err), 1e-8)
     return (spec.phi_matrix @ spec.phi_matrix.T) * H * mass * val
 
 
@@ -223,23 +225,26 @@ def _exp_mass(c: np.ndarray, length: float) -> np.ndarray:
     return np.where(pos, -np.expm1(-c * length) / np.where(pos, c, 1.0), length)
 
 
-def hs_norm_sq(spec: EquationSpec, r: float) -> float:
-    """|S(r) Phi|_HS^2 = sum_{n,k} e^{-2 lambda_n r} Phi_nk^2."""
+def hs_norm_sq(spec: EquationSpec, r):
+    """|S(r) Phi|_HS^2 = sum_{n,k} e^{-2 lambda_n r} Phi_nk^2, entrywise in r."""
     rows = np.sum(spec.phi_matrix ** 2, axis=1)
-    return float(np.sum(rows * np.exp(-2.0 * spec.lambdas * r)))
+    return np.sum(rows * np.exp(-2.0 * spec.lambdas
+                                * np.asarray(r, float)[..., None]), axis=-1)
+
+
+def _hs_power_integral(spec: EquationSpec, upper: float, what: str) -> float:
+    """int_0^upper |S(r) Phi|_HS^(2/(1+2 alpha)) dr by tanh-sinh, checked."""
+    p = 1.0 / (1.0 + 2.0 * spec.noise.alpha)
+    val, err = tanhsinh_sum(what, lambda r: hs_norm_sq(spec, r) ** p, 0.0,
+                            [upper], rtol=1e-10)
+    check_estimate(what, val, err, 1e-8)
+    return float(val)
 
 
 def check_H(spec: EquationSpec) -> tuple:
     """(value, finite?) of int_0^1 |S(r) Phi|_HS^(2/(1+2 alpha)) dr."""
-    p = 1.0 / (1.0 + 2.0 * spec.noise.alpha)
-
-    def f(r):
-        return hs_norm_sq(spec, r) ** p
-
-    val, err = integrate.quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-10,
-                              limit=200)
-    check_estimate("check_H quadrature", val, err, 1e-8)
-    return float(val), bool(np.isfinite(val))
+    val = _hs_power_integral(spec, 1.0, "check_H quadrature")
+    return val, bool(np.isfinite(val))
 
 
 def check_limit_condition(spec: EquationSpec) -> tuple:
@@ -257,8 +262,6 @@ def check_limit_condition(spec: EquationSpec) -> tuple:
     if lam_min <= 0.0:
         return math.inf, False
     t_star = max(1.0, 5.0 / lam_min)
-    head, err = integrate.quad(lambda r: hs_norm_sq(spec, r) ** p, 0.0,
-                               t_star, epsabs=0.0, epsrel=1e-10, limit=200)
-    check_estimate("check_limit_condition quadrature", head, err, 1e-8)
+    head = _hs_power_integral(spec, t_star, "check_limit_condition quadrature")
     tail = hs_norm_sq(spec, t_star) ** p / (2.0 * lam_min * p)
     return float(head + tail), True

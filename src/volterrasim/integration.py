@@ -12,7 +12,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import AlignmentError, ConsistencyError, check_estimate
-from .kernels import VolterraKernel, cov_R
+from .kernels import VolterraKernel, cov_R, tanhsinh_sum
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -46,14 +46,16 @@ class StepFunction:
         return out
 
 
-def kstar(kernel: VolterraKernel, f: StepFunction, r: float) -> np.ndarray:
-    """(K* f)(r); telescopes through the kernel antiderivative for steps.
+def kstar(kernel: VolterraKernel, f: StepFunction, r) -> np.ndarray:
+    """(K* f)(r), shape r.shape + (dim,); telescopes through the kernel
+    antiderivative for steps.
 
-    One eval over the breakpoints, whose differences are the pieces'
-    kernel increments (eval vanishes for t <= r, so a piece is cut at r),
-    then one product with the values.
+    One eval over the breakpoints, broadcast against r, whose differences
+    are the pieces' kernel increments (eval vanishes for t <= r, so a
+    piece is cut at r), then one product with the values.
     """
-    return np.diff(kernel.eval(f.breakpoints, r)) @ f.values
+    r = np.asarray(r, float)[..., None]
+    return np.diff(kernel.eval(f.breakpoints, r), axis=-1) @ f.values
 
 
 def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
@@ -85,38 +87,36 @@ def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
 
 
 def _kstar_l2_sq(kernel: VolterraKernel, f: StepFunction) -> float:
-    """int |K* f(r)|^2 dr: one quad over the support, one over the tail.
+    """int |K* f(r)|^2 dr by one tanh-sinh call over the pieces and the tail.
 
-    The tail r = bp[0] - w is mapped by sigma = (1 + w)^(2 alpha - 1) as
-    in cov_R_quadrature, and held beyond w_far, where its bias (about
-    span / w) meets the rounding of the eval differences in K* f (about
-    eps w / shortest piece).  The estimate adds the quad errors and twice
-    the held value's change from w_far to 2 w_far over (0, sigma_far).
+    The tail r = bp[0] - w is mapped onto (0, 1) by
+    tau = 1 - (1 + w / span)^(2 alpha - 1) as in cov_R_quadrature, and
+    held beyond w_far, where its bias (about span / w) meets the rounding
+    of the eval differences in K* f (about eps w / shortest piece).  The
+    estimate adds tanh-sinh's and twice the held value's change from
+    w_far to 2 w_far over the held stretch of tau.
     """
     bp = f.breakpoints
-
-    def g(r):
-        w = kstar(kernel, f, r)
-        return float(w @ w)
-
+    span = bp[-1] - bp[0]
     p = 2.0 * kernel.alpha - 1.0
+    w_far = np.sqrt(span * np.diff(bp).min() / np.finfo(float).eps)
+    tau_far = -np.expm1(p * np.log1p(w_far / span))
 
-    def mapped(w):
-        return g(bp[0] - w) * (1.0 + w) ** (1.0 - p) / -p
+    def integrand(x, is_tail, hold=tau_far):
+        w = span * np.expm1(np.log1p(-np.minimum(x, hold)) / p)
+        g = kstar(kernel, f, np.where(is_tail, bp[0] - w, x))
+        return np.sum(g * g, axis=-1) * np.where(
+            is_tail, span / -p * (1.0 + w / span) ** (1.0 - p), 1.0)
 
-    w_far = np.sqrt((bp[-1] - bp[0]) * np.diff(bp).min()
-                    / np.finfo(float).eps)
-    sigma_far = (1.0 + w_far) ** p
-    head, err = integrate.quad(g, bp[0], bp[-1], epsabs=0.0, epsrel=1e-8,
-                               points=bp[1:-1] if len(bp) > 2 else None,
-                               limit=200)
-    tail, e = integrate.quad(
-        lambda sigma: mapped(max(sigma, sigma_far) ** (1.0 / p) - 1.0),
-        0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)
-    total = head + tail
-    err += e + 2.0 * sigma_far * abs(mapped(w_far) - mapped(2.0 * w_far))
+    a = np.concatenate([[0.0], bp[:-1]])
+    b = np.concatenate([[1.0], bp[1:]])
+    total, err = tanhsinh_sum("K* L2 norm", integrand, a, b,
+                              args=(np.arange(len(a)) == 0,), rtol=1e-8)
+    twice = -np.expm1(p * np.log1p(2.0 * w_far / span))
+    err += 2.0 * (1.0 - tau_far) * abs(integrand(tau_far, True)
+                                       - integrand(twice, True, 1.0))
     check_estimate("K* L2 norm", total, err, 1e-6)
-    return total
+    return float(total)
 
 
 def integrate_step(f: StepFunction, paths) -> np.ndarray:
@@ -135,19 +135,32 @@ def integrate_step(f: StepFunction, paths) -> np.ndarray:
 
 
 def _cell_averages(fn, edges: np.ndarray) -> np.ndarray:
-    """Gauss-Legendre averages of fn over each cell; shape (n_cells, dim)."""
-    rows = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        fx = np.array([np.atleast_1d(fn(xi)) for xi in x], float)
-        if not np.all(np.isfinite(fx)):
-            raise ValueError(f"integrand not finite on [{a}, {b}]")
-        rows.append(0.5 * _GL_WEIGHTS @ fx)
-    return np.array(rows)
+    """Gauss-Legendre averages of fn over each cell; shape (n_cells, dim).
+
+    fn is called once, on the (n_cells, 8) array of nodes.  It returns
+    values of shape (dim, n_cells, 8), or of the nodes' shape for dim 1,
+    or a constant of shape (dim,) or ().
+    """
+    a, b = edges[:-1, None], edges[1:, None]
+    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+    fx = np.asarray(fn(x), float)
+    if fx.ndim < x.ndim:  # a constant
+        fx = np.broadcast_to(fx.reshape(-1, 1, 1), (fx.size,) + x.shape)
+    fx = fx.reshape((-1,) + x.shape)
+    bad = ~np.all(np.isfinite(fx), axis=(0, 2))
+    if np.any(bad):
+        j = np.argmax(bad)
+        raise ValueError(f"integrand not finite on [{a[j, 0]}, {b[j, 0]}]")
+    # one (8,) @ (8, dim) product per cell, as a loop over the cells makes
+    return np.matmul(0.5 * _GL_WEIGHTS, np.ascontiguousarray(
+        np.moveaxis(fx, 0, -1)))
 
 
 def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndarray:
-    """int_s^t fn(r) db_r via an n_sub-cell step approximation."""
+    """int_s^t fn(r) db_r via an n_sub-cell step approximation.
+
+    fn is called once, on an array of nodes (see _cell_averages).
+    """
     if not s < t:
         raise ValueError("need s < t")
     grid = paths.grid

@@ -84,6 +84,12 @@ class TestEnergyStatistic:
         assert energy_statistic(X, Y) == pytest.approx(brute_energy(X, Y),
                                                        rel=1e-12)
 
+    @pytest.mark.parametrize("test", [energy_statistic, energy_two_sample])
+    def test_samples_must_share_dimension(self, gauss_pair, test):
+        X, Y = gauss_pair
+        with pytest.raises(ValueError, match="samples must share dimension"):
+            test(X, Y[:, :1])
+
 
 class TestEnergyTwoSample:
     def test_same_law_passes(self, gauss_pair):

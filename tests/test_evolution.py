@@ -1,8 +1,8 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from volterrasim import evolution
 from volterrasim.errors import ConfigError, QuadratureError
@@ -53,6 +53,42 @@ def g_cell_sum(spec, r, s, cells=2000):
                   spec.noise.H)
     gram = spec.phi_matrix @ spec.phi_matrix.T
     return gram * (wu @ cov @ wv.T)
+
+
+def g_quad_vec(spec, r, s):
+    """covariance_g by adaptive quad_vec over sigma, one matrix per node.
+
+    The same integral over sigma = sign(w) |w|^(2H-1), split at 0 and at
+    the kink w = r - s, with the whole array at each node.
+    """
+    H = spec.noise.H
+    p = 2.0 * H - 1.0
+    lam_i, lam_j = spec.lambdas[:, None], spec.lambdas[None, :]
+    mass = evolution._exp_mass(lam_i, r) * evolution._exp_mass(lam_j, s)
+
+    def f(sigma):
+        w = math.copysign(abs(sigma) ** (1.0 / p), sigma)
+        a, b = max(0.0, w), min(r, s + w)
+        return np.exp(-lam_i * (r - b) - lam_j * (s + w - b)) \
+            * evolution._exp_mass(lam_i + lam_j, b - a) / mass
+
+    kink = math.copysign(abs(r - s) ** p, r - s)
+    val, _ = integrate.quad_vec(f, -s ** p, r ** p, epsabs=0.0, epsrel=1e-12,
+                                norm="max", points=[0.0, kink])
+    return (spec.phi_matrix @ spec.phi_matrix.T) * H * mass * val
+
+
+def hs_power_quad(spec, upper):
+    """int_0^upper |S(r) Phi|_HS^(2/(1+2 alpha)) dr by scalar quad."""
+    p = 1.0 / (1.0 + 2.0 * spec.noise.alpha)
+    return integrate.quad(lambda r: float(hs_norm_sq(spec, r)) ** p, 0.0,
+                          upper, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def heat_spec(H):
+    """The 1-d Dirichlet heat equation's first four modes, Phi = I."""
+    return EquationSpec((np.pi * np.arange(1, 5)) ** 2, np.eye(4),
+                        NoiseSpec(("fbm",) * 4, H))
 
 
 @pytest.fixture(scope="module")
@@ -121,11 +157,10 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("check", [check_H, check_limit_condition])
     def test_large_quadrature_estimate_raises(self, check, monkeypatch):
-        def coarse_quad(f, a, b, **kwargs):
+        def coarse_quad(what, f, a, b, **kwargs):
             return 1.0, 1e-6
 
-        monkeypatch.setattr(evolution, "integrate",
-                            SimpleNamespace(quad=coarse_quad))
+        monkeypatch.setattr(evolution, "tanhsinh_sum", coarse_quad)
         with pytest.raises(QuadratureError) as info:
             check(unit_spec())
         assert info.value.estimate == 1e-6
@@ -160,6 +195,40 @@ class TestCovarianceOracles:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             covariance_g(unit_spec(), -1.0, 1.0)
+
+
+class TestAgainstQuadOracles:
+    """The tanh-sinh routes against the adaptive quad routes they replaced."""
+
+    @pytest.mark.parametrize("r, s", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0),
+                                      (1e-6, 1.0), (1.0, 1e-6), (3.0, 3.0)])
+    @pytest.mark.parametrize("spec", [default_equation(0.7), two_mode_spec(),
+                                      heat_spec(0.55), heat_spec(0.9)],
+                             ids=["default", "two-mode", "heat-0.55",
+                                  "heat-0.9"])
+    def test_covariance_g_matches_quad_vec(self, spec, r, s):
+        np.testing.assert_allclose(covariance_g(spec, r, s),
+                                   g_quad_vec(spec, r, s), rtol=1e-10)
+
+    @pytest.mark.parametrize("spec", [default_equation(0.7), heat_spec(0.55),
+                                      heat_spec(0.9), unit_spec(0.9, 500.0)],
+                             ids=["default", "heat-0.55", "heat-0.9",
+                                  "stiff"])
+    def test_hypothesis_integrals_match_quad(self, spec):
+        assert check_H(spec)[0] == pytest.approx(hs_power_quad(spec, 1.0),
+                                                 rel=1e-12)
+        t_star = max(1.0, 5.0 / spec.lambdas.min())
+        tail = hs_norm_sq(spec, t_star) ** (1.0 / (2.0 * spec.noise.H)) \
+            / (spec.lambdas.min() / spec.noise.H)
+        assert check_limit_condition(spec)[0] == pytest.approx(
+            hs_power_quad(spec, t_star) + tail, rel=1e-12)
+
+    def test_hs_norm_takes_arrays(self):
+        spec = two_mode_spec()
+        r = np.array([[0.0, 0.3], [1.0, 7.0]])
+        np.testing.assert_array_equal(
+            hs_norm_sq(spec, r), [[hs_norm_sq(spec, x) for x in row]
+                                  for row in r])
 
 
 class TestCovarianceExact:

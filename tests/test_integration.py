@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from volterrasim.errors import AlignmentError, ConsistencyError, QuadratureError
+from volterrasim import integration
+from volterrasim.errors import AlignmentError, ConsistencyError, \
+    QuadratureError, check_estimate
 from volterrasim.integration import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     StepFunction,
+    _cell_averages,
     _kstar_l2_sq,
     check_law_symmetries,
     d_norm_sq,
@@ -12,7 +17,7 @@ from volterrasim.integration import (
     integrate_step,
     kstar,
 )
-from volterrasim.kernels import FbmKernel, cov_R, phi
+from volterrasim.kernels import FbmKernel, cov_R, fbm_cov, phi
 from volterrasim.processes import Ensemble, GridSpec
 from volterrasim.rng import substream
 from volterrasim.suites import _random_step_function
@@ -61,6 +66,14 @@ class TestKstar:
             k.eval(1.0, -0.5) - k.eval(0.0, -0.5))
         assert kstar(k, f, 0.5) == pytest.approx(k.eval(1.0, 0.5))
         assert kstar(k, f, 1.5) == pytest.approx(0.0)
+
+    def test_array_of_r_equals_scalar_calls(self):
+        k = FbmKernel(0.8)
+        f = StepFunction([-0.5, 0.2, 1.0, 1.7], [[1.0, 0.0], [-2.0, 1.0],
+                                                  [0.5, 3.0]])
+        r = np.array([[-40.0, -0.5, 0.0], [0.2, 1.3, 2.0]])
+        np.testing.assert_array_equal(
+            kstar(k, f, r), [[kstar(k, f, x) for x in row] for row in r])
 
 
 class TestDNorm:
@@ -155,6 +168,85 @@ def inner_product_quadrature(kernel, f, g, s1, t1, s2, t2) -> float:
     return val
 
 
+def kstar_l2_sq_quad(kernel, f):
+    """int |K* f(r)|^2 dr by scalar quad over the support and the tail.
+
+    The tail r = bp[0] - w is mapped by sigma = (1 + w)^(2 alpha - 1)
+    onto (0, 1) and held beyond w_far, as in _kstar_l2_sq.
+    """
+    bp = f.breakpoints
+    p = 2.0 * kernel.alpha - 1.0
+
+    def g(r):
+        w = kstar(kernel, f, r)
+        return float(w @ w)
+
+    def mapped(w):
+        return g(bp[0] - w) * (1.0 + w) ** (1.0 - p) / -p
+
+    w_far = np.sqrt((bp[-1] - bp[0]) * np.diff(bp).min()
+                    / np.finfo(float).eps)
+    sigma_far = (1.0 + w_far) ** p
+    head = integrate.quad(g, bp[0], bp[-1], epsabs=0.0, epsrel=1e-8,
+                          points=bp[1:-1] if len(bp) > 2 else None,
+                          limit=200)[0]
+    return head + integrate.quad(
+        lambda sigma: mapped(max(sigma, sigma_far) ** (1.0 / p) - 1.0),
+        0.0, 1.0, epsabs=0.0, epsrel=1e-8, limit=200)[0]
+
+
+def step_functions(n=80, seed=9):
+    """n step functions of 1 to 4 pieces, no piece under 5% of the span.
+
+    The spans run from 0.1 to 20 in geometric steps, and the supports
+    start anywhere in [-5, 5].
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for span in np.geomspace(0.1, 20.0, n):
+        m = int(rng.integers(1, 5))
+        inner = np.sort(rng.uniform(0.0, 1.0, m - 1))
+        while np.min(np.diff(np.r_[0.0, inner, 1.0])) < 0.05:
+            inner = np.sort(rng.uniform(0.0, 1.0, m - 1))
+        bp = rng.uniform(-5.0, 5.0) + span * np.r_[0.0, inner, 1.0]
+        out.append(StepFunction(bp, rng.uniform(-2.0, 2.0, (m, 1))))
+    return out
+
+
+def d_norm_sq_long_double(f, H):
+    """The fBm cov_R sum of d_norm_sq taken in long double."""
+    bp = f.breakpoints.astype(np.longdouble)
+    v = f.values[:, 0].astype(np.longdouble)
+    cov = fbm_cov(bp[:-1, None], bp[1:, None], bp[None, :-1], bp[None, 1:],
+                  np.longdouble(H))
+    return float(v @ cov @ v)
+
+
+class TestKstarL2Norm:
+    @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
+    def test_matches_quad_route(self, H):
+        k = FbmKernel(H)
+        for f in isometry_suite_functions(4):
+            assert _kstar_l2_sq(k, f) == pytest.approx(kstar_l2_sq_quad(k, f),
+                                                       rel=1e-6)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="the reference needs extended precision")
+    @pytest.mark.parametrize("H", [0.7, 0.9])
+    def test_estimate_bounds_the_error(self, monkeypatch, H):
+        estimates = []
+
+        def spy(what, value, estimate, rtol, atol=0.0):
+            estimates.append(estimate)
+            check_estimate(what, value, estimate, rtol, atol)
+
+        monkeypatch.setattr(integration, "check_estimate", spy)
+        k = FbmKernel(H)
+        for f in step_functions():
+            error = abs(_kstar_l2_sq(k, f) - d_norm_sq_long_double(f, H))
+            assert error <= estimates.pop()
+
+
 class TestInnerProductQuadrature:
     def test_matches_cov_for_indicators(self):
         k = FbmKernel(0.7)
@@ -204,6 +296,36 @@ class TestPathwiseIntegral:
         np.testing.assert_allclose(
             out[0], fbm_ensemble.at(1.0) - fbm_ensemble.at(-1.0), rtol=1e-10,
             atol=1e-12)
+
+    def test_vector_integrand(self, fbm_ensemble):
+        out = definite_integral(lambda r: np.array([np.ones_like(r), r]),
+                                0.0, 1.0, fbm_ensemble)
+        np.testing.assert_allclose(
+            out, np.vstack([definite_integral(lambda r: 1.0, 0.0, 1.0,
+                                              fbm_ensemble),
+                            definite_integral(lambda r: r, 0.0, 1.0,
+                                              fbm_ensemble)]), rtol=1e-12)
+
+    def test_constant_vector_integrand(self, fbm_ensemble):
+        out = definite_integral(lambda r: np.array([1.0, -2.0]), -1.0, 1.0,
+                                fbm_ensemble)
+        np.testing.assert_allclose(out, [[1.0], [-2.0]] * definite_integral(
+            lambda r: 1.0, -1.0, 1.0, fbm_ensemble), rtol=1e-12)
+
+    def test_cell_averages_match_a_loop_over_cells(self):
+        edges = np.linspace(-1.0, 1.0, 33)
+        fn = lambda r: np.array([np.exp(-r), 1.0 / (1.0 + r * r)])
+        loop = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
+            loop.append(0.5 * _GL_WEIGHTS @ np.array([fn(xi) for xi in x]))
+        np.testing.assert_array_equal(_cell_averages(fn, edges), loop)
+
+    def test_non_finite_integrand_names_the_cell(self, fbm_ensemble):
+        with pytest.raises(ValueError,
+                           match=r"integrand not finite on \[0\.5, 0\.5\d*\]"):
+            definite_integral(lambda r: np.where(r > 0.5, np.nan, r), 0.0,
+                              1.0, fbm_ensemble)
 
     def test_window_validation(self, fbm_ensemble):
         with pytest.raises(ValueError):
