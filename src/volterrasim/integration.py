@@ -15,6 +15,7 @@ from .errors import AlignmentError, ConsistencyError, check_estimate
 from .kernels import VolterraKernel, cov_R, tanhsinh_sum
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_EPS = np.finfo(float).eps
 
 
 class StepFunction:
@@ -87,34 +88,53 @@ def d_norm_sq(kernel: VolterraKernel, f: StepFunction,
 
 
 def _kstar_l2_sq(kernel: VolterraKernel, f: StepFunction) -> float:
-    """int |K* f(r)|^2 dr by one tanh-sinh call over the pieces and the tail.
+    """int |K* f(r)|^2 dr: one tanh-sinh call over the pieces and the tail,
+    and the tail's far end in closed form.
 
-    The tail r = bp[0] - w is mapped onto (0, 1) by
-    tau = 1 - (1 + w / span)^(2 alpha - 1) as in cov_R_quadrature, and
-    held beyond w_far, where its bias (about span / w) meets the rounding
-    of the eval differences in K* f (about eps w / shortest piece).  The
-    estimate adds tanh-sinh's and twice the held value's change from
-    w_far to 2 w_far over the held stretch of tau.
+    The tail r = bp[0] - w up to w_far is mapped onto (0, tau_far) by
+    tau = 1 - (1 + w / span)^(2 alpha - 1), as in cov_R_quadrature.
+    Beyond w_far the mapped integrand is taken as m_inf + c / w, as it is
+    for fBm up to O(w^-2), with m_inf and c read off m at w_far and
+    2 w_far.  w_far balances the next term, about (span / w)^2, against
+    the rounding of the eval differences in K* f, about eps w / shortest
+    piece.  The estimate adds to tanh-sinh's the size of the next term,
+    from m at 4 w_far as well, and a bound on the rounding: each eval
+    term, rounded by up to 4 eps, enters K* f times the jump of the
+    values at its breakpoint.  That bound grows like w^(2 alpha - 1) in r,
+    so up to w_far it integrates to w_far / (2 alpha) times its value
+    there.
     """
     bp = f.breakpoints
     span = bp[-1] - bp[0]
     p = 2.0 * kernel.alpha - 1.0
-    w_far = np.sqrt(span * np.diff(bp).min() / np.finfo(float).eps)
+    w_far = 2.0 * np.cbrt(span * span * np.diff(bp).min() / _EPS)
     tau_far = -np.expm1(p * np.log1p(w_far / span))
 
-    def integrand(x, is_tail, hold=tau_far):
-        w = span * np.expm1(np.log1p(-np.minimum(x, hold)) / p)
+    def integrand(x, is_tail):
+        w = span * np.expm1(np.log1p(-x) / p)
         g = kstar(kernel, f, np.where(is_tail, bp[0] - w, x))
         return np.sum(g * g, axis=-1) * np.where(
             is_tail, span / -p * (1.0 + w / span) ** (1.0 - p), 1.0)
 
     a = np.concatenate([[0.0], bp[:-1]])
-    b = np.concatenate([[1.0], bp[1:]])
+    b = np.concatenate([[tau_far], bp[1:]])
     total, err = tanhsinh_sum("K* L2 norm", integrand, a, b,
                               args=(np.arange(len(a)) == 0,), rtol=1e-8)
-    twice = -np.expm1(p * np.log1p(2.0 * w_far / span))
-    err += 2.0 * (1.0 - tau_far) * abs(integrand(tau_far, True)
-                                       - integrand(twice, True, 1.0))
+    w = w_far * np.array([1.0, 2.0, 4.0])
+    terms = kernel.eval(bp, (bp[0] - w)[:, None])
+    g = np.linalg.norm(np.diff(terms, axis=-1) @ f.values, axis=-1)
+    jumps = np.abs(np.diff(f.values, axis=0, prepend=0.0, append=0.0))
+    slop = 4.0 * _EPS * np.linalg.norm(np.abs(terms) @ jumps, axis=-1)
+    bound = (2.0 * g + slop) * slop
+    jac = span / -p * (1.0 + w / span) ** (1.0 - p)
+    m = g * g * jac
+    d1, d2 = m[0] - m[1], m[1] - m[2]  # c / w_far = 2 d1 + O(w_far^-2)
+    held = 1.0 - tau_far
+    # the mass of 1 / w beyond w_far is held |p| / ((1 - p) w_far)
+    total += held * (m[0] - 2.0 * d1 + 2.0 * d1 * -p / (1.0 - p))
+    err += held * (4.0 * abs(d1 - 2.0 * d2) + 2.0 * abs(d1) * span / w_far
+                   + 3.0 * (bound[0] * jac[0] + 2.0 * bound[1] * jac[1])) \
+        + w_far * bound[0] / (2.0 * kernel.alpha)
     check_estimate("K* L2 norm", total, err, 1e-6)
     return float(total)
 

@@ -232,8 +232,9 @@ class TestKstarL2Norm:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="the reference needs extended precision")
-    @pytest.mark.parametrize("H", [0.7, 0.9])
+    @pytest.mark.parametrize("H", [0.7, 0.9, 0.97])
     def test_estimate_bounds_the_error(self, monkeypatch, H):
+        # the quad route's estimate fell short on 13 of these 80 at H = 0.97
         estimates = []
 
         def spy(what, value, estimate, rtol, atol=0.0):
