@@ -9,7 +9,6 @@ insists they agree.
 """
 
 import numpy as np
-from scipy import integrate
 
 from .errors import AlignmentError, ConsistencyError, check_estimate
 from .kernels import VolterraKernel, cov_R, tanhsinh_sum
