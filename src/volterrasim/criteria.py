@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import check_estimate, check_hurst
+from .kernels import gauss_legendre
 
 DIVERGENT = math.inf
 
@@ -111,14 +112,13 @@ def j_quadrature(beta: float, H: float,
     if beta <= 0.5:
         raise ValueError("beta must exceed 1/2")
     # the truncation levels share their inner panels: each (panel, order)
-    # and each order's rule is computed once
-    rules, panels = {}, {}
+    # is computed once
+    panels = {}
 
     def panel(lo, hi, order):
         if (lo, hi, order) not in panels:
-            if order not in rules:
-                rules[order] = np.polynomial.legendre.leggauss(order)
-            panels[lo, hi, order] = _j_panel(beta, H, lo, hi, rules[order])
+            panels[lo, hi, order] = _j_panel(beta, H, lo, hi,
+                                             gauss_legendre(order))
         return panels[lo, hi, order]
 
     # a common order keeps the level differences free of rule error

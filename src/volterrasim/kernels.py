@@ -17,6 +17,7 @@ integral over r, vectorised over its pieces, of the product of two kernel
 increments built from dK/du.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -231,7 +232,7 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
     tau_far = -math.expm1(p * math.log1p(1e16 * (1.0 + abs(low) / span)))
     runs = []
     for nodes in (32, 16):  # the inner rule, then its order-halving probe
-        x, wts = np.polynomial.legendre.leggauss(nodes)
+        x, wts = gauss_legendre(nodes)
         rule = (0.5 * (x + 1.0), 0.5 * wts)  # on (0, 1)
 
         def f(x, origin, length, is_tail, rule=rule):
@@ -255,6 +256,15 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
     check_estimate("cov_R quadrature", val, err + abs(val - coarse), 1e-6,
                    1e-9)
     return sign * float(val)
+
+
+@functools.cache
+def gauss_legendre(order: int):
+    """Read-only Gauss-Legendre (nodes, weights) on (-1, 1), built once per order."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def tanhsinh_sum(what, f, a, b, args=(), rtol=COV_R_RTOL):

@@ -27,7 +27,6 @@ from .rng import normal_matrix
 
 PROCESSES = ("fbm", "rosenblatt")
 PATH_BLOCK = 64  # path columns drawn and transformed together
-LINK_BLOCK = 1 << 16  # link-matrix elements built at a time for order 2
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,9 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        if not math.isfinite(float(self.t_max) - float(self.t_min)):
+            raise ValueError("the grid's ends and step must be finite, got "
+                             f"t_min={self.t_min}, t_max={self.t_max}")
         if not self.t_min < self.t_max:
             raise ValueError("need t_min < t_max")
         if self.n_points < 2:
@@ -511,13 +513,20 @@ class CumulantSpec:
     order: int
 
     def __post_init__(self):
-        if self.order < 2 or self.order > 4:
-            raise ValueError("cumulant order must be 2, 3 or 4")
+        if not isinstance(self.order, numbers.Integral) \
+                or not 2 <= self.order <= 4:
+            raise ValueError(f"cumulant order must be 2, 3 or 4, got {self.order!r}")
         if len(self.intervals) != len(self.thetas):
             raise ValueError("need one theta per interval")
         for s, t in self.intervals:
             if not s < t:
                 raise ValueError(f"interval endpoints must satisfy s < t, got {(s, t)}")
+        ends = [float(x) for iv in self.intervals for x in iv]
+        if ends and not math.isfinite(max(ends) - min(ends)):
+            raise ValueError("intervals must have finite endpoints and span a "
+                             f"finite length, got {self.intervals}")
+        if not all(math.isfinite(th) for th in self.thetas):
+            raise ValueError(f"thetas must be finite, got {self.thetas}")
 
 
 def _cell_averaged_link(x_edges: np.ndarray, H: float, lo: int,
@@ -537,15 +546,27 @@ def _cell_averaged_link(x_edges: np.ndarray, H: float, lo: int,
     return cell
 
 
-def _cyclic_sum(spec: CumulantSpec, H: float, edges: np.ndarray) -> float:
+def _lattice_cells(edges: np.ndarray, lattice: np.ndarray) -> np.ndarray:
+    """Lattice index of each cell of edges that is a lattice cell, else -1."""
+    k = np.searchsorted(lattice, edges)
+    on = lattice[np.minimum(k, len(lattice) - 1)] == edges
+    return np.where(on[:-1] & on[1:] & (k[1:] == k[:-1] + 1), k[:-1], -1)
+
+
+def _cyclic_sum(spec: CumulantSpec, H: float, edges: np.ndarray,
+                lattice: np.ndarray) -> float:
     """sum over index tuples of theta products times the cyclic S integral.
 
     Collapses to Tr((P_theta A)^k) where A is the cell-averaged link
     matrix and P_theta weights each cell by width times the sum of
     thetas of intervals containing it.  A is symmetric, so order 2 is
-    pw' (A o A) pw, with pw the diagonal of P_theta, summed over row
-    blocks of LINK_BLOCK elements with no n x n array; orders 3 and 4
-    take the one product B^2 of B = P_theta A.
+    pw' (A o A) pw, with pw the diagonal of P_theta.  On the cells of
+    edges that are cells of the uniform lattice, A is Toeplitz: their
+    pairs sum to sum_k c_k^2 r_k, with c the first row of the lattice's
+    link (one power per lattice edge) and r the autocorrelation of
+    their weights.  Each other cell of nonzero weight adds its own row,
+    as 2 sum_{I, all} - sum_{I, I}, so order 2 takes O(n) powers and
+    memory.  Orders 3 and 4 take the one product B^2 of B = P_theta A.
     """
     mids = 0.5 * (edges[:-1] + edges[1:])
     w = np.diff(edges)
@@ -555,12 +576,16 @@ def _cyclic_sum(spec: CumulantSpec, H: float, edges: np.ndarray) -> float:
         weight += th * ((mids > s) & (mids < t))
     pw = w * weight
     if spec.order == 2:
-        rows = max(1, LINK_BLOCK // (n + 1))
-        total = 0.0
-        for lo in range(0, n, rows):
-            A = _cell_averaged_link(edges, H, lo, lo + rows)
-            A *= A
-            total += pw[lo:lo + rows] @ (A @ pw)
+        cell = _lattice_cells(edges, lattice)
+        v = np.zeros(len(lattice) - 1)
+        v[cell[cell >= 0]] = pw[cell >= 0]
+        c2 = _cell_averaged_link(lattice, H, 0, 1)[0] ** 2
+        r = np.correlate(v, v, "full")[len(v) - 1:]
+        total = 2.0 * (c2 @ r) - c2[0] * r[0]
+        off = np.flatnonzero((cell < 0) & (pw != 0.0))
+        for i in off:
+            a2 = _cell_averaged_link(edges, H, i, i + 1)[0] ** 2
+            total += pw[i] * (2.0 * (a2 @ pw) - a2[off] @ pw[off])
         return float(total)
     B = _cell_averaged_link(edges, H, 0, n)
     B *= pw[:, None]  # P_theta A, in place
@@ -575,7 +600,10 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     The cyclic integral is computed on a cell-averaged link matrix and
     extrapolated in the known O(w^(2H-1)) near-diagonal rate from a mesh
     and its bisection; the coarse/fine discrepancy after extrapolation is
-    the error estimate.
+    the error estimate.  The mesh is a uniform lattice of n_nodes cells
+    over the hull of the intervals plus their endpoints, so the link is
+    Toeplitz on all but the few cells an off-lattice endpoint cuts, and
+    order 2 costs O(n_nodes) powers (see _cyclic_sum).
     """
     check_hurst(H)
     if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
@@ -584,14 +612,17 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
         raise ValueError(f"rtol must be a positive finite number, got {rtol!r}")
     if all(th == 0.0 for th in spec.thetas):
         return 0.0
-    # an even number of fine cells between endpoints: all are coarse edges
+    # n_nodes lattice cells over the hull plus the endpoints; the fine
+    # mesh bisects every cell, each lattice cell at its fine-lattice point
     ends = np.unique(np.ravel(spec.intervals))
-    span = ends[-1] - ends[0]
-    fine = np.unique(np.concatenate([
-        np.linspace(a, b, 2 * max(1, round(n_nodes * (b - a) / span)) + 1)
-        for a, b in zip(ends[:-1], ends[1:])]))
-    s_coarse = _cyclic_sum(spec, H, fine[::2])
-    s_fine = _cyclic_sum(spec, H, fine)
+    fine_lattice = np.linspace(ends[0], ends[-1], 2 * n_nodes + 1)
+    lattice = fine_lattice[::2]
+    coarse = np.union1d(lattice, ends)
+    cell = _lattice_cells(coarse, lattice)
+    fine = np.union1d(coarse, np.where(cell >= 0, fine_lattice[2 * cell + 1],
+                                       0.5 * (coarse[:-1] + coarse[1:])))
+    s_coarse = _cyclic_sum(spec, H, coarse, lattice)
+    s_fine = _cyclic_sum(spec, H, fine, fine_lattice)
     p = 2.0 * H - 1.0
     r = 2.0 ** (-p)
     s_extrap = (s_fine - r * s_coarse) / (1.0 - r)

@@ -276,6 +276,8 @@ class TestSimulate:
         ("fbm", "--workers", "-3", "--workers"),
         ("fbm", "--workers", "0", "--workers"),
         ("fbm", "--grid", "0.35:1:10", "whole number"),
+        ("fbm", "--grid", "0:inf:10", "ends and step must be finite"),
+        ("fbm", "--grid", "-1e308:1e308:3", "ends and step must be finite"),
         ("fbm", "--seed", "-1", "--seed: must be a non-negative integer"),
         ("rosenblatt", "--stream", "-2",
          "--stream: must be a non-negative integer"),

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -375,6 +376,26 @@ class TestCumulants:
             CumulantSpec(((1.0, 0.0),), (1.0,), 2)
         with pytest.raises(ValueError):
             CumulantSpec(((0.0, 1.0),), (1.0, 2.0), 2)
+        for bad, field in [
+                (dict(intervals=((0.0, math.inf),)), "intervals"),
+                (dict(intervals=((-math.inf, 1.0),)), "intervals"),
+                (dict(intervals=((-1e308, 0.0), (0.0, 1e308)),
+                      thetas=(1.0, 1.0)), "intervals"),
+                (dict(thetas=(math.nan,)), "thetas"),
+                (dict(thetas=(-math.inf,)), "thetas"),
+                (dict(order=2.5), "order"),
+                (dict(order=2.0), "order")]:
+            kw = dict(intervals=((0.0, 1.0),), thetas=(1.0,), order=2) | bad
+            with pytest.raises(ValueError, match=field):
+                CumulantSpec(**kw)
+
+    @pytest.mark.parametrize("H, intervals, thetas, kappa2", [
+        (0.75, ((0.0, 1.0), (1.0, 2.0)), (1.0, 1.0), 2.828417862395233),
+        (0.8, ((0.0, 1.0), (0.5, 2.0)), (1.0, -0.5), 0.46256310094473757)])
+    def test_kappa2_pinned(self, H, intervals, thetas, kappa2):
+        # both endpoints 1 and 0.5 lie on the lattice
+        spec = CumulantSpec(intervals, thetas, 2)
+        assert rosenblatt_cumulant(spec, H) == pytest.approx(kappa2, rel=1e-12)
 
     @pytest.mark.parametrize("kw", [
         dict(n_nodes=0), dict(n_nodes=-5), dict(n_nodes=2.5),
@@ -422,21 +443,35 @@ def _dense_cyclic_sum(spec, H, edges):
 
 class TestCyclicSum:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_dense_matrix_power(self, seed, monkeypatch):
+    def test_matches_dense_matrix_power(self, seed):
         rng = np.random.default_rng(seed)
         H = rng.uniform(0.55, 0.95)
         n_int = int(rng.integers(1, 4))
         ends = np.sort(rng.uniform(-1.0, 2.0, size=(n_int, 2)), axis=1)
         thetas = rng.normal(size=n_int)  # overlapping, either sign
-        edges = np.unique(np.concatenate([
-            ends.ravel(), rng.uniform(ends.min(), ends.max(), 304 - 2 * n_int)]))
-        # 303 cells in blocks of 7 rows: the last block is short
-        monkeypatch.setattr(processes, "LINK_BLOCK", 7 * len(edges))
-        assert len(edges) == 304
+        lo, hi = ends.min(), ends.max()
+        # a random mesh has no lattice cell; on the lattice meshes the
+        # inner endpoints and a few random points cut lattice cells, and
+        # the wider lattice has cells of weight 0 beyond the hull
+        random_mesh = np.unique(np.concatenate([
+            ends.ravel(), rng.uniform(lo, hi, 304 - 2 * n_int)]))
+        assert len(random_mesh) == 304
+        lattice = np.linspace(lo, hi, 41)
+        wide = np.linspace(lo - 0.3, hi + 0.2, 61)
+        cuts = np.concatenate([ends.ravel(), rng.uniform(lo, hi, 5)])
+        meshes = [(random_mesh, lattice), (np.union1d(lattice, cuts), lattice),
+                  (np.union1d(wide, cuts), wide)]
         for order in (2, 3, 4):
             spec = CumulantSpec(tuple(map(tuple, ends)), tuple(thetas), order)
-            assert processes._cyclic_sum(spec, H, edges) == pytest.approx(
-                _dense_cyclic_sum(spec, H, edges), rel=1e-12)
+            for edges, lat in meshes:
+                assert processes._cyclic_sum(spec, H, edges, lat) == \
+                    pytest.approx(_dense_cyclic_sum(spec, H, edges), rel=1e-12)
+
+    def test_lattice_cells(self):
+        lattice = np.linspace(0.0, 1.0, 5)
+        edges = np.union1d(lattice, [0.1, 0.3, 0.6])
+        np.testing.assert_array_equal(processes._lattice_cells(edges, lattice),
+                                      [-1, -1, -1, -1, -1, -1, 3])
 
     def test_link_rows_match_whole(self):
         edges = np.sort(np.random.default_rng(1).uniform(-1.0, 1.0, 50))
