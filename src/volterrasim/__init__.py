@@ -20,39 +20,3 @@ Submodules:
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    AlignmentError,
-    ConfigError,
-    ConsistencyError,
-    FactorizationError,
-    QuadratureError,
-    VolterraError,
-)
-from .kernels import FbmKernel, VolterraKernel, cov_R, phi
-from .processes import (
-    Ensemble,
-    GridSpec,
-    RosenblattScheme,
-    simulate_fbm,
-    simulate_rosenblatt,
-)
-
-__all__ = [
-    "__version__",
-    "AlignmentError",
-    "ConfigError",
-    "ConsistencyError",
-    "FactorizationError",
-    "QuadratureError",
-    "VolterraError",
-    "FbmKernel",
-    "VolterraKernel",
-    "cov_R",
-    "phi",
-    "Ensemble",
-    "GridSpec",
-    "RosenblattScheme",
-    "simulate_fbm",
-    "simulate_rosenblatt",
-]

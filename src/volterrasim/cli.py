@@ -31,10 +31,13 @@ FORK_POOL = sys.platform == "linux"
 
 def parse_grid(text: str) -> GridSpec:
     """Grid literal "t_min:t_max:n_points", e.g. "-2:2:401"."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be t_min:t_max:n_points, got {text!r}")
-    return GridSpec(float(parts[0]), float(parts[1]), int(parts[2]))
+    try:
+        t_min, t_max, n_points = text.split(":")
+        parts = float(t_min), float(t_max), int(n_points)
+    except ValueError:
+        raise ValueError(f"grid must be t_min:t_max:n_points, "
+                         f"got {text!r}") from None
+    return GridSpec(*parts)
 
 
 def int_at_least(low: int, kind: str):

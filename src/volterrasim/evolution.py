@@ -133,9 +133,7 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
     """
     if grid.t_min != 0.0:
         raise ConfigError("solution grid must start at t = 0")
-    value, ok = check_H(spec)
-    if not ok:
-        raise ConfigError(f"Hypothesis-(H) integral not finite (value {value})")
+    check_H(spec)  # raises unless the Hypothesis-(H) integral converges
     use_past = isinstance(spec.x0, str) and spec.x0 == "x-infinity"
     if use_past:
         n_past = int(round(t_trunc / grid.dt))

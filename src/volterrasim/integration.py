@@ -10,10 +10,12 @@ insists they agree.
 
 import numpy as np
 
+from .diagnostics import energy_two_sample
 from .errors import AlignmentError, ConsistencyError, check_estimate
-from .kernels import VolterraKernel, cov_R, tanhsinh_sum
+from .kernels import VolterraKernel, cov_R, gauss_legendre, tanhsinh_sum
+from .processes import Ensemble
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(8)
 _EPS = np.finfo(float).eps
 
 
@@ -204,9 +206,6 @@ def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
     tests compare independent samples.  The level 0.01 is
     Bonferroni-corrected across the three pairs.
     """
-    from .diagnostics import energy_two_sample
-    from .processes import Ensemble
-
     grid = ensemble.grid
     if grid.t_min > -t or grid.t_max < t:
         raise ValueError("ensemble grid must cover [-t, t]")

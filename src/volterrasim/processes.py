@@ -137,12 +137,6 @@ def _origin_index(grid: GridSpec) -> int:
     return grid.index_of(0.0)
 
 
-def fbm_covariance_matrix(times: np.ndarray, H: float) -> np.ndarray:
-    """E b_s b_t = (|s|^2H + |t|^2H - |t-s|^2H) / 2 on the grid."""
-    t = np.asarray(times, float)
-    return fbm_cov(0, t[:, None], 0, t[None, :], H)
-
-
 def _fgn_spectrum(n_steps: int, dt: float, H: float) -> np.ndarray:
     """sqrt(eigenvalue / m) of the circulant embedding of fGn, rfft half.
 
@@ -238,7 +232,7 @@ class RosenblattScheme:
     """Discretization of the second-chaos double integral.
 
     y_edges are the Wiener-axis cell edges (fine and uniform near the
-    simulated window, geometric down to y_min); substeps refines each
+    simulated window, geometric down to y_edges[0]); substeps refines each
     grid step of the time integral.
     """
 
@@ -254,14 +248,6 @@ class RosenblattScheme:
             raise ConfigError("chaos grid must be increasing with >= 32 cells")
         object.__setattr__(self, "y_edges", e)
         e.setflags(write=False)
-
-    @property
-    def A_H(self) -> float:
-        return rosenblatt_normalizer(self.H)
-
-    @property
-    def y_min(self) -> float:
-        return float(self.y_edges[0])
 
     @classmethod
     def for_grid(cls, grid: GridSpec, H: float, tail_tol: float = 1e-3,
@@ -303,8 +289,8 @@ class RosenblattScheme:
         return cls(H=H, y_edges=edges, substeps=substeps, tail_tol=tail_tol)
 
     def tail_bound(self, grid: GridSpec) -> float:
-        span = grid.t_max - grid.t_min
-        return rosenblatt_tail_bound(self.H, span, grid.t_min - self.y_min)
+        depth = grid.t_min - self.y_edges[0]
+        return rosenblatt_tail_bound(self.H, grid.t_max - grid.t_min, depth)
 
 
 def _cell_weights(top, bottom, width, g):
@@ -431,7 +417,7 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
         s = scheme.substeps
         values[1:, p0:p0 + nb] = np.cumsum(contrib, axis=0)[s - 1::s]
     values -= values[i0]
-    values *= scheme.A_H
+    values *= rosenblatt_normalizer(scheme.H)
     return Ensemble(grid, values)
 
 
@@ -449,14 +435,15 @@ def rosenblatt_grid_covariance(grid: GridSpec, scheme: RosenblattScheme) -> np.n
     t = grid.times[:, None]
     inside = (u > np.minimum(0.0, t)) & (u < np.maximum(0.0, t))
     sel = np.where(inside, sgn * du, 0.0)
-    A = scheme.A_H
+    A = rosenblatt_normalizer(scheme.H)
     return 2.0 * A * A * sel @ g2 @ sel.T
 
 
 def rosenblatt_discretization_tolerance(grid: GridSpec,
                                         scheme: RosenblattScheme) -> float:
     """Max absolute deviation of grid covariance from the exact fBm-type law."""
-    exact = fbm_covariance_matrix(grid.times, scheme.H)
+    t = grid.times
+    exact = fbm_cov(0, t[:, None], 0, t[None, :], scheme.H)
     return float(np.max(np.abs(rosenblatt_grid_covariance(grid, scheme) - exact)))
 
 

@@ -8,8 +8,13 @@ from the command line.
 
 import numpy as np
 
+from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
+    shift_trace_criterion
 from .diagnostics import energy_statistic, energy_two_sample
 from .errors import ConfigError
+from .evolution import SUBSTEPS, TAIL_TOL, EquationSpec, NoiseSpec, \
+    check_limit_condition, covariance_q_infinity, covariance_qt, \
+    sample_x_infinity, solve_mild
 from .integration import StepFunction, check_law_symmetries, d_norm_sq, \
     integrate_step
 from .kernels import FbmKernel, check_regularity, phi_quadrature
@@ -24,8 +29,6 @@ LIMIT_EARLY = 0.24  # a grid time at which X_t must still differ from x_inf
 
 def default_equation(H: float, x0=None):
     """The 4-mode diagonal reference equation used by the CLI suites."""
-    from .evolution import EquationSpec, NoiseSpec
-
     lambdas = np.array([0.5, 1.0, 2.0, 4.0])
     phi_matrix = np.ones((4, 1))
     return EquationSpec(lambdas, phi_matrix, NoiseSpec(("fbm",), H), x0=x0)
@@ -97,7 +100,7 @@ def suite_law_symmetry(H: float, n_paths: int, seed: int):
     drivers = {
         "fbm": simulate_fbm(grid, H, n_paths, seed),
         "rosenblatt": simulate("rosenblatt", grid, H, n_paths, seed, 1, 0,
-                               1e-2, 2),
+                               TAIL_TOL, SUBSTEPS),
     }
     integrands = {
         "exp": lambda r: np.array([np.exp(-r)]),
@@ -115,8 +118,6 @@ def suite_law_symmetry(H: float, n_paths: int, seed: int):
 
 
 def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity"):
-    from .evolution import solve_mild
-
     spec = default_equation(H, x0=x0)
     grid = GridSpec(0.0, 3.0, 151)
     sol = solve_mild(spec, grid, n_paths, seed)
@@ -143,9 +144,6 @@ def suite_limit(H: float, n_paths: int, seed: int):
     tells X at an early time from x_infinity; and it does not at the
     last time.  The energy distances at LIMIT_TIMES are printed too.
     """
-    from .evolution import check_limit_condition, covariance_q_infinity, \
-        covariance_qt, sample_x_infinity, solve_mild
-
     spec = default_equation(H)
     value, finite = check_limit_condition(spec)
     lines = [f"limit condition integral: {value:.6f} "
@@ -179,9 +177,6 @@ def suite_limit(H: float, n_paths: int, seed: int):
 
 
 def suite_criteria():
-    from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
-        shift_trace_criterion
-
     lines = []
     ok = True
     eps = 1e-6

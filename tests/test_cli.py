@@ -278,6 +278,8 @@ class TestSimulate:
         ("fbm", "--grid", "0.35:1:10", "whole number"),
         ("fbm", "--grid", "0:inf:10", "ends and step must be finite"),
         ("fbm", "--grid", "-1e308:1e308:3", "ends and step must be finite"),
+        ("fbm", "--grid", "0:1:2.5", "t_min:t_max:n_points"),
+        ("fbm", "--grid", "a:1:10", "t_min:t_max:n_points"),
         ("fbm", "--seed", "-1", "--seed: must be a non-negative integer"),
         ("rosenblatt", "--stream", "-2",
          "--stream: must be a non-negative integer"),

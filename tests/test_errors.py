@@ -1,7 +1,10 @@
 """The package's shared checks: the Hurst range and quadrature estimates."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,3 +140,15 @@ def test_each_site_checks_with_its_tolerances(monkeypatch, site, module,
         assert value == want_value
         if want_estimate is not None:
             assert estimate == want_estimate
+
+
+def test_light_modules_load_no_scipy():
+    # the package root imports nothing, so these modules load alone
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = ("import sys, volterrasim.errors, volterrasim.rng, "
+            "volterrasim.csvtext\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert res.stdout.strip() == "[]"

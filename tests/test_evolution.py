@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from volterrasim import evolution
+from volterrasim import evolution, suites
 from volterrasim.errors import ConfigError, QuadratureError
 from volterrasim.evolution import (
     EquationSpec,
@@ -353,7 +353,7 @@ class TestLimitSuite:
             return 1.3 * sample_x_infinity(*args, **kwargs)
 
         assert suite_limit(0.7, 600, seed=76)[0]
-        monkeypatch.setattr(evolution, "sample_x_infinity", scaled)
+        monkeypatch.setattr(suites, "sample_x_infinity", scaled)
         ok, lines = suite_limit(0.7, 600, seed=76)
         assert not ok
         assert lines[-1].endswith("FAIL")

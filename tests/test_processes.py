@@ -17,7 +17,6 @@ from volterrasim.processes import (
     GridSpec,
     RosenblattScheme,
     ensemble_from_csv,
-    fbm_covariance_matrix,
     rosenblatt_cumulant,
     rosenblatt_discretization_tolerance,
     rosenblatt_grid_covariance,
@@ -122,7 +121,8 @@ class TestFbm:
 
     def test_covariance_matrix_psd(self):
         t = np.linspace(-2, 2, 41)
-        C = fbm_covariance_matrix(t[t != 0], 0.8)
+        t = t[t != 0]
+        C = fbm_cov(0, t[:, None], 0, t[None, :], 0.8)
         w = np.linalg.eigvalsh(C)
         assert w.min() > -1e-10
 
@@ -149,7 +149,8 @@ class TestFbm:
             lambda seed, stream, n_rows, n_paths, path_offset=0:
             np.eye(n_rows)[:, path_offset:path_offset + n_paths])
         T = simulate_fbm(grid, H, m, seed=0).values
-        C = fbm_covariance_matrix(grid.times, H)
+        t = grid.times
+        C = fbm_cov(0, t[:, None], 0, t[None, :], H)
         assert np.max(np.abs(T @ T.T - C)) <= 1e-12 * np.max(np.abs(C))
 
     def test_indefinite_embedding_raises(self):
@@ -230,7 +231,7 @@ class TestRosenblatt:
         contrib = du * (M * M - np.sum(a * a, axis=1)[:, None])
         prefix = np.vstack([np.zeros(n), np.cumsum(contrib, axis=0)])
         at_edges = prefix[::scheme.substeps]
-        dense = scheme.A_H * (at_edges - at_edges[grid.index_of(0.0)])
+        dense = rosenblatt_normalizer(0.75) * (at_edges - at_edges[grid.index_of(0.0)])
         ens = simulate_rosenblatt(grid, scheme, n, seed=5, stream=2)
         assert np.max(np.abs(ens.values - dense)) <= 1e-9
 
