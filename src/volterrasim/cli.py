@@ -12,6 +12,7 @@ import ctypes
 import multiprocessing
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
@@ -138,11 +139,22 @@ def out_paths(args, *names) -> list:
 
 
 def _simulate_block(job):
-    """One block of paths, returned as its CSV text rows (format_rows)."""
-    return format_rows(simulate(*job).values)
+    """One block of paths, its CSV text written row by row to the part
+    file named by the job's last field; returns each row's length."""
+    *params, part = job
+    with open(part, "wb") as fh:
+        return [fh.write(row) for row in format_rows(simulate(*params).values)]
+
+
+def _part_rows(part, lengths):
+    """The rows of a part file, one at a time."""
+    with open(part, "rb") as fh:
+        for n in lengths:
+            yield fh.read(n)
 
 
 def cmd_simulate(args) -> int:
+    check_hurst(args.H)
     grid = parse_grid(args.grid)
     csv_path, manifest_path = out_paths(args, "ensemble.csv", "manifest.txt")
     workers = args.workers
@@ -154,16 +166,24 @@ def cmd_simulate(args) -> int:
         jobs.append((args.process, grid, args.H, n_block, args.seed,
                      args.stream, offset, args.tail_tol, args.substeps))
         offset += n_block
-    if len(jobs) == 1:
-        blocks = [_simulate_block(jobs[0])]
-    else:
-        # the pool starts all its processes at once, so none beyond the jobs
-        with simulate_pool(min(workers, len(jobs))) as pool:
-            blocks = list(pool.map(_simulate_block, jobs))
     # path identity depends only on (seed, stream, path index), and the
     # text of a value is the same in every process, so the CSV is
     # independent of the split
-    write_csv(csv_path, grid, args.paths, blocks)
+    if len(jobs) == 1:
+        write_csv(csv_path, grid, args.paths,
+                  [format_rows(simulate(*jobs[0]).values)])
+    else:
+        # each worker writes its block's text to a part file, and the parent
+        # joins the parts row by row; they go on the --out disk because the
+        # default temporary directory may be held in memory
+        with tempfile.TemporaryDirectory(prefix=".parts-", dir=args.out) as tmp:
+            parts = [os.path.join(tmp, str(k)) for k in range(len(jobs))]
+            # the pool starts all its processes at once, so none beyond the jobs
+            with simulate_pool(min(workers, len(jobs))) as pool:
+                lengths = list(pool.map(_simulate_block, [
+                    job + (part,) for job, part in zip(jobs, parts)]))
+            write_csv(csv_path, grid, args.paths,
+                      [_part_rows(p, n) for p, n in zip(parts, lengths)])
     write_manifest(manifest_path, "simulate", {
         "process": args.process,
         "H": repr(args.H),
@@ -235,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--stream", type=nonnegative_int, default=0)
     sim.add_argument("--tail-tol", type=float, default=1e-3,
                      help="Rosenblatt truncation variance bound")
-    sim.add_argument("--substeps", type=int, default=4,
+    sim.add_argument("--substeps", type=positive_int, default=4,
                      help="Rosenblatt time-refinement factor")
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--force", action="store_true",

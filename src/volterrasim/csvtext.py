@@ -167,22 +167,25 @@ def _canvas(x):
 
 
 def format_rows(values):
-    """CSV text of each row of a 2-D float array: one bytes object a row.
+    """CSV text of each row of a 2-D float array: an iterator of bytes,
+    one a row.
 
-    Rows, like the str rows they replace, keep a pooled simulate's memory
-    where it was.  With bytes pieces of 2048 to 8192 values, the parent's
-    peak RSS rose by 6-8 MB in about half of the runs, as its malloc heap
-    fragmented while it unpickled the workers' blocks.
+    The rows are formatted CHUNK values at a time as the iterator is
+    read, so at most one chunk's text is held: a pooled simulate worker
+    writes them to its part file as they come, and the parent then reads
+    one row of each part at a time.
     """
     values = np.asarray(values, float)
     if values.ndim != 2:
         raise ValueError(f"CSV rows need a 2-D array, got shape {values.shape}")
+    return _rows(values)
+
+
+def _rows(values):
     n_rows, n_cols = values.shape
     step = max(1, CHUNK // n_cols)
-    rows = []
     for start in range(0, n_rows, step):
         block = values[start:start + step]
         canvas = _canvas(block.ravel()).reshape(len(block), -1)
         canvas[:, -1] = 0  # no separator after a row's last value
-        rows += [row.tobytes().translate(None, b"\0") for row in canvas]
-    return rows
+        yield from (row.tobytes().translate(None, b"\0") for row in canvas)

@@ -109,9 +109,11 @@ class Ensemble:
 def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:
     """Write an ensemble CSV: header, then per time its blocks' cells.
 
-    blocks are csvtext.format_rows of consecutive path columns, in path
-    order.  A value's text is the same in every process, so blocks may be
-    formatted anywhere.
+    blocks holds one iterator of row text per block of consecutive path
+    columns, in path order, as csvtext.format_rows gives it.  A value's
+    text is the same in every process, so a block may be formatted
+    anywhere.  One row of each block is read per time, so no block's
+    whole text is held here.
     """
     with open(path, "wb") as fh:
         fh.write(f"t,{','.join(f'path_{p}' for p in range(n_paths))}\n".encode())

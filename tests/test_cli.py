@@ -264,6 +264,59 @@ class TestSimulate:
                    "--out", str(tmp_path / "x"))
         assert code == 2
 
+    def test_bad_H_is_refused_before_out_is_made(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(cli, "default_workers", lambda: 3)
+        out = tmp_path / "x"
+        assert run("simulate", "--process", "fbm", "--H", "1.5",
+                   "--grid", "-1:1:11", "--paths", "4", "--seed", "1",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == \
+            "error: H must lie in (1/2, 1), got 1.5\n"
+        assert not out.exists()
+
+    def test_pooled_run_leaves_no_parts(self, tmp_path):
+        assert run("simulate", "--process", "fbm", "--H", "0.7",
+                   "--grid", "0:1:11", "--paths", "5", "--seed", "1",
+                   "--workers", "3", "--out", str(tmp_path)) == 0
+        assert sorted(os.listdir(tmp_path)) == ["ensemble.csv",
+                                                "manifest.txt"]
+
+    def test_error_inside_the_workers_leaves_no_parts(self, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setattr(cli, "default_workers", lambda: 3)
+        assert run("simulate", "--process", "rosenblatt", "--H", "0.75",
+                   "--grid", "0:1:11", "--paths", "3", "--seed", "1",
+                   "--tail-tol", "1e-300", "--out", str(tmp_path)) == 2
+        assert "unreachable" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not cli.FORK_POOL, reason="the pool forks on Linux")
+    def test_pooled_parent_holds_no_block_text(self, tmp_path):
+        # the CSV is 48 MB; on 2 CPUs a parent that joined the workers'
+        # whole blocks grew by 70-85 MB, one that reads their part files
+        # row by row by about 2 MB
+        script = """if True:
+            import resource, sys
+            from volterrasim import cli
+
+            def peak():
+                return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+            before = peak()
+            assert cli.main(["simulate", "--process", "fbm", "--H", "0.7",
+                             "--grid", "-2:2:4001", "--paths", "600",
+                             "--seed", "1", "--workers", "2",
+                             "--out", sys.argv[1]]) == 0
+            print((peak() - before) / 1024)
+        """
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             env=env, check=True, capture_output=True,
+                             text=True)
+        assert float(out.stdout.split()[-1]) < 16.0
+
     def test_missing_required_flag(self):
         assert run("simulate", "--process", "fbm") == 2
 
