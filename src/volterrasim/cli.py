@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .errors import ConfigError, VolterraError, check_hurst
 from .csvtext import format_rows
-from .processes import PROCESSES, GridSpec, simulate, write_csv
+from .processes import PROCESSES, GridSpec, RosenblattScheme, simulate, \
+    through_origin, write_csv
 
 MANIFEST_SCHEMA = "1"
 # The simulate pool forks on Linux: a forked worker starts without
@@ -156,6 +157,11 @@ def _part_rows(part, lengths):
 def cmd_simulate(args) -> int:
     check_hurst(args.H)
     grid = parse_grid(args.grid)
+    # what simulate() would refuse in the workers is refused before --out
+    sim_grid, _ = through_origin(grid)
+    if args.process == "rosenblatt":
+        RosenblattScheme.for_grid(sim_grid, args.H, args.tail_tol,
+                                  args.substeps)
     csv_path, manifest_path = out_paths(args, "ensemble.csv", "manifest.txt")
     workers = args.workers
     chunk = -(-args.paths // workers)  # ceil division

@@ -12,6 +12,8 @@ from scipy.spatial.distance import cdist
 
 from .rng import substream
 
+ROW_BLOCK = 256  # distance-matrix rows made and used together
+
 
 @dataclass(frozen=True)
 class TwoSampleReport:
@@ -32,37 +34,45 @@ class TwoSampleReport:
 
 def energy_statistic(X: np.ndarray, Y: np.ndarray) -> float:
     """E-distance 2 E|X-Y| - E|X-X'| - E|Y-Y'| from sample means."""
-    D, nx = _distances(X, Y)
-    in_x = np.zeros((len(D), 1))
+    Z, nx = _stack(X, Y)
+    in_x = np.zeros((len(Z), 1))
     in_x[:nx] = 1.0
-    return float(_energy_columns(D, in_x)[0])
+    return float(_energy_columns(Z, in_x)[0])
 
 
-def _distances(X, Y):
-    """(distance matrix of the rows of X stacked over those of Y, len(X))."""
+def _stack(X, Y):
+    """(the rows of X stacked over those of Y, len(X))."""
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError("samples must share dimension")
-    Z = np.vstack([X, Y])
-    return cdist(Z, Z), len(X)
+    return np.vstack([X, Y]), len(X)
 
 
-def _energy_columns(D, in_x):
+def _energy_columns(Z, in_x):
     """E-statistic of each labelling in the columns of the 0/1 matrix in_x.
 
-    Column k marks with 1 the rows of the distance matrix D labelled X;
-    every column marks the same number of them.  The block sums follow
-    from one product: (D in_x)[i, k] is the distance from row i to the
-    X group of labelling k, and its row sum less that is the distance to
-    the Y group.  Summing these over the X rows of column k gives the XX
-    block and over the Y rows the XY and YY blocks.
+    Column k marks with 1 the rows of Z labelled X; every column marks
+    the same number of them.  The block sums follow from one product
+    with the distance matrix D of the rows of Z: (D in_x)[i, k] is the
+    distance from row i to the X group of labelling k, and its row sum
+    less that is the distance to the Y group.  Summing these over the X
+    rows of column k gives the XX block and over the Y rows the XY and
+    YY blocks.  D is made ROW_BLOCK rows at a time, each block used for
+    its rows of the product and of the row sums, so it never exists
+    whole.
     """
     in_y = 1.0 - in_x
     nx = int(in_x[:, 0].sum())
-    ny = len(D) - nx
-    to_x = D @ in_x
-    to_y = D.sum(axis=1)[:, None] - to_x
+    ny = len(Z) - nx
+    to_x = np.empty(in_x.shape)
+    to_all = np.empty((len(Z), 1))
+    for r0 in range(0, len(Z), ROW_BLOCK):
+        rows = slice(r0, r0 + ROW_BLOCK)
+        D = cdist(Z[rows], Z)
+        np.matmul(D, in_x, out=to_x[rows])
+        D.sum(axis=1, out=to_all[rows, 0])
+    to_y = to_all - to_x
     sxy = np.einsum("ik,ik->k", in_y, to_x)
     sxx = np.einsum("ik,ik->k", in_x, to_x)
     syy = np.einsum("ik,ik->k", in_y, to_y)
@@ -77,20 +87,20 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
 
     Rows are observations.  Distances are computed once.  The observed
     labelling and the n_perm cumulative shuffles of substream(seed, 0)
-    fill the rows of one 0/1 indicator matrix, and one matrix product
-    with its transpose gives the statistic of every labelling (see
-    _energy_columns).  The p-value counts the shuffles whose statistic
-    reaches the observed one.
+    fill the rows of one 0/1 indicator matrix, and the products of the
+    distance matrix's row blocks with its transpose give the statistic
+    of every labelling (see _energy_columns).  The p-value counts the
+    shuffles whose statistic reaches the observed one.
     """
     if n_perm < 1:
         raise ValueError("need n_perm >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("need 0 < level < 1")
-    D, nx = _distances(X, Y)
-    ny = len(D) - nx
+    Z, nx = _stack(X, Y)
+    ny = len(Z) - nx
     if min(nx, ny) < 50:
         raise ValueError("need at least 50 observations per sample")
-    if D.max() == 0.0:
+    if (Z == Z[0]).all():
         # both samples the same constant: laws trivially equal
         return TwoSampleReport(0.0, 1.0, n_perm, level)
     rng = substream(seed, 0)
@@ -100,7 +110,7 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
     for k in range(1, n_perm + 1):
         rng.shuffle(labels)
         in_x[k, labels[:nx]] = 1.0
-    stats = _energy_columns(D, in_x.T)
+    stats = _energy_columns(Z, in_x.T)
     count = np.count_nonzero(stats[1:] >= stats[0])
     p = (count + 1) / (n_perm + 1)
     return TwoSampleReport(float(stats[0]), float(p), n_perm, level)

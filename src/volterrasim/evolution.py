@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import ConfigError, check_estimate, check_hurst
 from .kernels import tanhsinh_sum
-from .processes import PROCESSES, Ensemble, GridSpec, simulate
+from .processes import PROCESSES, Ensemble, GridSpec, _simulate_values
 
 # RosenblattScheme.for_grid settings of the solvers' Rosenblatt noise
 TAIL_TOL = 1e-2
 SUBSTEPS = 2
+DIFF_ROWS = 64  # rows differenced together in _diff_in_place
 
 
 @dataclass(frozen=True)
@@ -105,19 +106,44 @@ def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
                     n_paths: int, seed: int) -> np.ndarray:
     """Cell sum of int_grid S(t - r) Phi dB_r, shape (n_t, n_modes, n_paths).
 
-    Noise component k is simulated on grid with stream k.
+    Noise component k is simulated on grid with stream k, one component
+    at a time: its path values are differenced in place, added into
+    every mode it drives, and dropped.  Each mode still sums its terms
+    in ascending k, and its exponential weights are built at its first
+    nonzero Phi entry and dropped after its last.
     """
-    deltas = [np.diff(simulate(fam, grid, spec.noise.H, n_paths, seed, k, 0,
-                               TAIL_TOL, SUBSTEPS).values, axis=0)
-              for k, fam in enumerate(spec.noise.families)]
+    Phi = spec.phi_matrix
+    last = {n: row.nonzero()[0][-1] for n, row in enumerate(Phi) if row.any()}
+    weights = {}
     out = np.zeros((len(times), spec.n_modes, n_paths))
-    for n, lam in enumerate(spec.lambdas):
-        A = _exp_cell_averages(lam, times, grid.times)
-        for k, db in enumerate(deltas):
-            coef = spec.phi_matrix[n, k]
-            if coef != 0.0:
-                out[:, n, :] += coef * (A @ db)
+    term = None  # the first product allocates it, later ones reuse it
+    for k, fam in enumerate(spec.noise.families):
+        values = _simulate_values(fam, grid, spec.noise.H, n_paths, seed, k,
+                                  0, TAIL_TOL, SUBSTEPS)
+        _diff_in_place(values)
+        for n in Phi[:, k].nonzero()[0]:
+            if n not in weights:
+                weights[n] = _exp_cell_averages(spec.lambdas[n], times,
+                                                grid.times)
+            term = np.matmul(weights[n], values[1:], out=term)
+            term *= Phi[n, k]
+            out[:, n, :] += term
+            if k == last[n]:
+                del weights[n]
+        del values  # before the next component is simulated
     return out
+
+
+def _diff_in_place(values: np.ndarray) -> None:
+    """values[1:] becomes np.diff(values, axis=0), without a full copy.
+
+    Blocks of DIFF_ROWS rows go from the last up, so each row is read
+    before it is overwritten; numpy copies only a block's overlapping
+    input.
+    """
+    for hi in range(len(values), 1, -DIFF_ROWS):
+        lo = max(hi - DIFF_ROWS, 1)
+        np.subtract(values[lo:hi], values[lo - 1:hi - 1], out=values[lo:hi])
 
 
 def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,

@@ -196,7 +196,8 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
         spec *= scale[:, None]
         fgn = np.fft.irfft(spec, m, axis=0, norm="forward")[:n_steps]
         np.cumsum(fgn, axis=0, out=values[1:, p0:p0 + nb])
-    values -= values[i0]
+    # a copy of the row, or numpy copies all of values for the aliasing
+    values -= values[i0].copy()
     return Ensemble(grid, values)
 
 
@@ -418,7 +419,7 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
         contrib = du * (M * M - proj.mass[:, None])
         s = scheme.substeps
         values[1:, p0:p0 + nb] = np.cumsum(contrib, axis=0)[s - 1::s]
-    values -= values[i0]
+    values -= values[i0].copy()  # see simulate_fbm
     values *= rosenblatt_normalizer(scheme.H)
     return Ensemble(grid, values)
 
@@ -461,7 +462,7 @@ def simulate(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
     """
     if process not in PROCESSES:
         raise ConfigError(f"unknown process {process!r}")
-    sim_grid, rows = _through_origin(grid)
+    sim_grid, rows = through_origin(grid)
     if process == "fbm":
         ens = simulate_fbm(sim_grid, H, n_paths, seed, stream, path_offset)
     else:
@@ -472,7 +473,18 @@ def simulate(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
     return ens if sim_grid is grid else Ensemble(grid, ens.values[rows])
 
 
-def _through_origin(grid: GridSpec):
+def _simulate_values(*args) -> np.ndarray:
+    """simulate(*args).values, writable, for a caller that may overwrite it.
+
+    The Ensemble is made here and dropped, so its read-only view is the
+    only other reference to the sampler's fresh array.
+    """
+    values = simulate(*args).values
+    values.setflags(write=True)
+    return values
+
+
+def through_origin(grid: GridSpec):
     """The grid's lattice continued to t = 0, and the rows that are grid."""
     if grid.t_min <= 0.0 <= grid.t_max:
         return grid, slice(None)

@@ -159,18 +159,21 @@ def suite_limit(H: float, n_paths: int, seed: int):
                  + ("pass" if good else "FAIL"))
     grid = GridSpec(0.0, LIMIT_TIMES[-1], 401)
     sol = solve_mild(spec, grid, n_paths, seed)
+    # copies of the tested times, so that the whole solution can go
+    X = {t: sol.at(t).T.copy() for t in (LIMIT_EARLY, *LIMIT_TIMES)}
+    del sol
     target = sample_x_infinity(spec, 25.0, n_paths, seed + 1, dt=0.02).T
     for t in LIMIT_TIMES:
-        d = energy_statistic(sol.at(t).T, target)
+        d = energy_statistic(X[t], target)
         lines.append(f"energy distance Law(X_{t}) vs x_inf: {d:.5f}")
-    early = energy_two_sample(sol.at(LIMIT_EARLY).T, target, seed=seed)
+    early = energy_two_sample(X[LIMIT_EARLY], target, seed=seed)
     good = not early.passed
     ok &= good
     lines.append(f"Law(X_{LIMIT_EARLY}) vs x_inf: "
                  f"energy={early.statistic:.6g} p={early.p_value:.4f} "
                  f"(n_perm={early.n_permutations}), rejected at level "
                  f"{early.level}: {'pass' if good else 'FAIL'}")
-    late = energy_two_sample(sol.at(LIMIT_TIMES[-1]).T, target, seed=seed)
+    late = energy_two_sample(X[LIMIT_TIMES[-1]], target, seed=seed)
     ok &= late.passed
     lines.append(f"Law(X_{LIMIT_TIMES[-1]}) vs x_inf: {late}")
     return ok, lines

@@ -11,6 +11,7 @@ import pytest
 
 from volterrasim import cli
 from volterrasim.cli import main, parse_grid, write_manifest
+from volterrasim.errors import ConfigError
 from volterrasim.processes import GridSpec, ensemble_from_csv, simulate
 from volterrasim.suites import SUITES
 
@@ -194,21 +195,28 @@ class TestSimulate:
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # fbm's FFTs and Rosenblatt's convolution never call BLAS, and the
         # far Rosenblatt cells are one mat-vec per path, so the BLAS thread
-        # count cannot change a reduction order
+        # count cannot change a reduction order.  One subprocess per thread
+        # count runs both processes, so the import is paid twice, not four
+        # times.
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        for process, grid in (("fbm", "-2:2:801"), ("rosenblatt", "-1:1:201")):
-            outs = []
-            for threads in ("1", "2"):
-                out = tmp_path / f"{process}{threads}"
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                           PYTHONPATH=os.path.abspath(src))
-                subprocess.run(
-                    [sys.executable, "-m", "volterrasim.cli", "simulate",
-                     "--process", process, "--H", "0.75",
-                     "--grid", grid, "--paths", "40", "--seed", "7",
-                     "--out", str(out)], env=env, check=True,
-                    capture_output=True)
-                outs.append((out / "ensemble.csv").read_bytes())
+        runs = (("fbm", "-2:2:801"), ("rosenblatt", "-1:1:201"))
+        code = (
+            "import sys\n"
+            "from volterrasim import cli\n"
+            f"for process, grid in {runs!r}:\n"
+            "    assert cli.main(['simulate', '--process', process,\n"
+            "                     '--H', '0.75', '--grid', grid,\n"
+            "                     '--paths', '40', '--seed', '7',\n"
+            "                     '--out', sys.argv[1] + process]) == 0\n")
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.path.abspath(src))
+            subprocess.run([sys.executable, "-c", code,
+                            str(tmp_path / threads)], env=env, check=True,
+                           capture_output=True)
+        for process, _ in runs:
+            outs = [(tmp_path / f"{threads}{process}" / "ensemble.csv")
+                    .read_bytes() for threads in ("1", "2")]
             assert outs[0] == outs[1], process
 
     @pytest.mark.parametrize("process, H, grid, md5", [
@@ -274,6 +282,36 @@ class TestSimulate:
         assert capsys.readouterr().err == \
             "error: H must lie in (1/2, 1), got 1.5\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("tail_tol, error", [
+        ("0", "tail_tol must be positive, got 0.0"),
+        ("nan", "tail_tol must be positive, got nan"),
+        ("1e-300", "tail tolerance 1e-300 unreachable "
+                   "(bound at unit depth 1.28)"),
+    ])
+    def test_bad_tail_tol_is_refused_before_out_is_made(
+            self, tmp_path, capsys, monkeypatch, tail_tol, error):
+        monkeypatch.setattr(cli, "default_workers", lambda: 3)
+        out = tmp_path / "x"
+        assert run("simulate", "--process", "rosenblatt", "--H", "0.75",
+                   "--grid", "-1:1:11", "--paths", "4", "--seed", "1",
+                   "--tail-tol", tail_tol, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.skipif(not cli.FORK_POOL,
+                        reason="forked workers inherit the patched simulate")
+    def test_error_raised_in_a_worker_leaves_no_parts(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def refuse(*args):
+            raise ConfigError("refused in a worker")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        assert run("simulate", "--process", "fbm", "--H", "0.7",
+                   "--grid", "0:1:11", "--paths", "5", "--seed", "1",
+                   "--workers", "3", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: refused in a worker\n"
+        assert os.listdir(tmp_path) == []
 
     def test_pooled_run_leaves_no_parts(self, tmp_path):
         assert run("simulate", "--process", "fbm", "--H", "0.7",

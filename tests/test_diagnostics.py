@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from volterrasim import diagnostics
 from volterrasim.diagnostics import energy_statistic, energy_two_sample
 from volterrasim.rng import substream
 
@@ -50,6 +52,34 @@ def brute_energy(X, Y):
             - dist(Y, Y).sum() / (ny * (ny - 1)))
 
 
+def full_matrix_energy_test(X, Y, n_perm, seed):
+    """(statistic, p-value) of energy_two_sample from one full cdist matrix.
+
+    The same shuffles, indicator matrix and block sums, with the whole
+    n x n distance matrix in one product and one row sum.
+    """
+    D = cdist(np.vstack([X, Y]), np.vstack([X, Y]))
+    nx, ny = len(X), len(Y)
+    labels = np.arange(nx + ny)
+    rows = np.zeros((n_perm + 1, nx + ny))
+    rows[0, :nx] = 1.0
+    rng = substream(seed, 0)
+    for k in range(1, n_perm + 1):
+        rng.shuffle(labels)
+        rows[k, labels[:nx]] = 1.0
+    in_x = rows.T
+    in_y = 1.0 - in_x
+    to_x = D @ in_x
+    to_y = D.sum(axis=1)[:, None] - to_x
+    sxy = np.einsum("ik,ik->k", in_y, to_x)
+    sxx = np.einsum("ik,ik->k", in_x, to_x)
+    syy = np.einsum("ik,ik->k", in_y, to_y)
+    stats = 2.0 * (sxy / (nx * ny)) - sxx / (nx * (nx - 1)) \
+        - syy / (ny * (ny - 1))
+    p = (np.count_nonzero(stats[1:] >= stats[0]) + 1) / (n_perm + 1)
+    return float(stats[0]), float(p)
+
+
 def sample_pair(nx, ny, dim, shift, seed, kind="normal"):
     rng = substream(seed, 1)
     if kind == "discrete":
@@ -78,7 +108,9 @@ class TestEnergyStatistic:
         X, _ = gauss_pair
         assert energy_statistic(X, X + 5.0) > 1.0
 
-    @pytest.mark.parametrize("nx, ny, dim", [(40, 70, 3), (55, 30, 1)])
+    # the last two span more than one row block of distances (256 rows)
+    @pytest.mark.parametrize("nx, ny, dim", [(40, 70, 3), (55, 30, 1),
+                                             (255, 2, 2), (300, 213, 2)])
     def test_matches_brute_force(self, nx, ny, dim):
         X, Y = sample_pair(nx, ny, dim, 0.4, seed=11)
         assert energy_statistic(X, Y) == pytest.approx(brute_energy(X, Y),
@@ -188,3 +220,20 @@ class TestAgainstPermutationLoop:
         assert p1 == p2
         assert stat2 == pytest.approx(stat1, rel=1e-12)
 
+
+class TestDistancesByRowBlock:
+    def test_large_test_holds_no_full_distance_matrix(self):
+        # one 6000 x 6000 distance matrix is 275 MiB; traced peaks of
+        # this call: 279 MiB with the whole matrix, 27 MiB by row blocks
+        X, Y = sample_pair(3000, 3000, 3, 0.05, seed=21)
+        assert (len(X) + len(Y)) % diagnostics.ROW_BLOCK != 0
+        tracemalloc.start()
+        try:
+            rep = energy_two_sample(X, Y, n_perm=20, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+        stat, p = full_matrix_energy_test(X, Y, 20, seed=4)
+        assert rep.statistic.hex() == stat.hex()
+        assert rep.p_value == p
