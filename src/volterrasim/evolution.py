@@ -57,7 +57,7 @@ class EquationSpec:
     lambdas: np.ndarray
     phi_matrix: np.ndarray
     noise: NoiseSpec
-    x0: object = None  # None (zero) | vector | "x-infinity"
+    x0: object = None  # None (zero) | "x-infinity" | one value per mode
     allow_unstable: bool = False
 
     def __post_init__(self):
@@ -75,6 +75,21 @@ class EquationSpec:
         Phi.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
         object.__setattr__(self, "phi_matrix", Phi)
+        if self.x0 is None or (isinstance(self.x0, str)
+                               and self.x0 == "x-infinity"):
+            return
+        bad = ConfigError(f"x0 must be None, 'x-infinity' or {len(lam)} "
+                          f"finite values, got {self.x0!r}")
+        if isinstance(self.x0, str):
+            raise bad
+        try:
+            x0 = np.atleast_1d(np.array(self.x0, float))
+        except (TypeError, ValueError):
+            raise bad from None
+        if x0.shape != (len(lam),) or not np.all(np.isfinite(x0)):
+            raise bad
+        x0.setflags(write=False)
+        object.__setattr__(self, "x0", x0)
 
     @property
     def n_modes(self) -> int:
@@ -160,7 +175,7 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
     if grid.t_min != 0.0:
         raise ConfigError("solution grid must start at t = 0")
     check_H(spec)  # raises unless the Hypothesis-(H) integral converges
-    use_past = isinstance(spec.x0, str) and spec.x0 == "x-infinity"
+    use_past = isinstance(spec.x0, str)
     if use_past:
         n_past = int(round(t_trunc / grid.dt))
         sim_grid = GridSpec(-n_past * grid.dt, grid.t_max,
@@ -170,11 +185,8 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
     times = grid.times
     out = _convolve_noise(spec, times, sim_grid, n_paths, seed)
     if spec.x0 is not None and not use_past:
-        x0 = np.atleast_1d(np.asarray(spec.x0, float))
-        if x0.shape != (spec.n_modes,):
-            raise ConfigError("x0 vector must match the number of modes")
         decay = np.exp(-np.outer(times, spec.lambdas))  # (n_t, n_modes)
-        out += (decay * x0[None, :])[:, :, None]
+        out += (decay * spec.x0[None, :])[:, :, None]
     return Ensemble(grid, out)
 
 

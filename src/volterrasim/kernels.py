@@ -11,8 +11,8 @@ generates all increment covariances
     R(s1, t1, s2, t2) = int_{s1}^{t1} int_{s2}^{t2} phi(u, v) du dv.
 
 The fractional-Brownian-motion kernel admits closed forms for both.  For
-a generic kernel, phi comes from adaptive quadrature with explicit tail
-control derived from the regularity bound, and R from one tanh-sinh
+a generic kernel, phi at any number of points comes from one tanh-sinh
+call over each point's two mapped pieces, and R from one tanh-sinh
 integral over r, vectorised over its pieces, of the product of two kernel
 increments built from dK/du.
 """
@@ -34,6 +34,7 @@ from .errors import QuadratureError, check_estimate, check_hurst
 # error against an mpmath fbm_cov exceeded the rest of the estimate by at
 # most 0.075 of that term.
 COV_R_RTOL = np.finfo(float).eps ** 0.75
+PHI_W_FAR = 1e150  # the offset beyond which phi_quadrature holds its body
 
 
 @dataclass(frozen=True)
@@ -118,75 +119,50 @@ def fbm_cov(s1, t1, s2, t2, H: float):
     )
 
 
-def phi_quadrature(kernel: VolterraKernel, u: float, v: float) -> float:
-    """phi(u, v) by quadrature in the offset variable w = min(u,v) - r.
+def phi_quadrature(kernel: VolterraKernel, u, v):
+    """phi(u, v) by one tanh-sinh call in the offset w = min(u,v) - r.
 
-    The integrand behaves like w^(alpha-1) at 0 and w^(2 alpha - 2) at
-    infinity, so the head (0, gap) is mapped by s = w^alpha and the
-    rest (gap, inf) by s = w^(2 alpha - 1); both images are bounded
-    intervals on which the integrand has finite endpoint limits, so no
-    truncation error is incurred even for alpha close to 1/2.
+    u and v broadcast, and the result takes their shape.  The integrand
+    behaves like w^(alpha-1) at 0 and w^(2 alpha - 2) at infinity, so each
+    point's head (0, gap) is mapped by s = w^alpha and its body
+    (gap, inf) by s = w^(2 alpha - 1); both images are bounded intervals
+    on which the integrand has finite endpoint limits, so no truncation
+    error is incurred even for alpha close to 1/2.  The body is held at
+    its value beyond w = PHI_W_FAR, where it is off its limit by
+    O(gap / w).  Each point's estimate is checked on its own.
 
-    Because deriv takes r (not the offset), r = m - w loses relative
-    precision in w once w is within rounding distance of m; the exact
-    realized offset m - r is recovered (the subtraction is exact there)
-    and the singular factor rescaled by (w / (m - r))^(alpha - 1),
-    which keeps the evaluation accurate down to arbitrarily small gaps.
+    Because deriv takes r (not the offset), r = lo - w loses relative
+    precision in w once w is within rounding distance of lo; the exact
+    realized offsets lo - r and hi - r are used instead (the subtraction
+    is exact there).  The singular factor deriv(lo, r) (lo - r)^(1 - alpha)
+    is read no closer to lo than 1e-15 gap, nor than the next float below
+    lo: exact for a pure power, and continuous in w for any kernel.
     """
-    if u == v:
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    if np.any(u == v):
         raise ValueError("phi is defined off the diagonal only (u != v)")
-    lo, hi = (u, v) if u < v else (v, u)
-    m = lo
+    lo, hi = np.minimum(u, v).ravel(), np.maximum(u, v).ravel()
     gap = hi - lo
+    r_ref = np.minimum(lo - 1e-15 * gap, np.nextafter(lo, -np.inf))
     a = kernel.alpha
-
-    # strength of the w^(alpha-1) singularity, read off one gap below m
-    r_ref = m - gap
-    c_sing = kernel.deriv(lo, r_ref) * (m - r_ref) ** (1.0 - a)
-
-    def g_w(w):
-        r = m - w
-        wr = m - r  # exact offset actually seen by deriv
-        f_hi = kernel.deriv(hi, r) * ((gap + w) / (hi - r)) ** (a - 1.0)
-        if wr <= 0.0:
-            return c_sing * w ** (a - 1.0) * f_hi
-        return kernel.deriv(lo, r) * (w / wr) ** (a - 1.0) * f_hi
-
-    head_limit = c_sing * kernel.deriv(hi, m) / a
-
-    def f_head(s):  # s = w^alpha on (0, gap^alpha)
-        w = s ** (1.0 / a)
-        if w < 1e-280:
-            return head_limit
-        return g_w(w) * w ** (1.0 - a) / a
-
     p = 2.0 * a - 1.0  # in (-1, 0)
-    w_far = max(1e6, 1e6 * (abs(u) + abs(v) + gap))
-    body_limit = g_w(w_far) * w_far ** (1.0 - p) / (-p)
+    is_head = np.array([[True], [False]])  # each point's two pieces
 
-    def f_body(s):  # s = w^p on (0, gap^p), w from gap out to infinity
-        if s < w_far ** p:
-            return body_limit
-        w = s ** (1.0 / p)
-        return g_w(w) * w ** (1.0 - p) / (-p)
+    def f(s, lo, hi, gap, r_ref, is_head):
+        w = np.where(is_head, s, np.maximum(s, PHI_W_FAR ** p)) \
+            ** np.where(is_head, 1.0 / a, 1.0 / p)
+        r = lo - w
+        r_sing = np.minimum(r, r_ref)
+        sing = kernel.deriv(lo, r_sing) * (lo - r_sing) ** (1.0 - a)
+        far = kernel.deriv(hi, r) * ((gap + w) / (hi - r)) ** (a - 1.0)
+        return sing * far * np.where(is_head, 1.0 / a, w ** (1.0 - a) / -p)
 
-    total, err = 0.0, 0.0
-    for f, upper in ((f_head, gap ** a), (f_body, gap ** p)):
-        val, e = integrate.quad(f, 0.0, upper, limit=200)
-        total += val
-        err += e
-    check_estimate("phi quadrature", total, err, 1e-6, 1e-12)
-    return total
-
-
-def phi(kernel: VolterraKernel, u: float, v: float) -> float:
-    """Two-point function phi(u, v); closed form when available."""
-    if u == v:
-        raise ValueError("phi is defined off the diagonal only (u != v)")
-    closed = kernel.phi_closed_form(u, v)
-    if closed is not None:
-        return closed
-    return phi_quadrature(kernel, u, v)
+    total, err = tanhsinh_sum("phi quadrature", f, 0.0,
+                              np.where(is_head, gap ** a, gap ** p),
+                              args=(lo, hi, gap, r_ref, is_head))
+    for value, estimate in zip(total, err):
+        check_estimate("phi quadrature", value, estimate, 1e-6, 1e-12)
+    return total.reshape(u.shape)[()]
 
 
 def cov_R(kernel: VolterraKernel, s1: float, t1: float,

@@ -123,14 +123,6 @@ def write_csv(path, grid: GridSpec, n_paths: int, blocks) -> None:
             fh.write(b"\n")
 
 
-def ensemble_from_csv(path) -> Ensemble:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    times = data[:, 0]
-    grid = GridSpec(float(times[0]), float(times[-1]), len(times))
-    return Ensemble(grid, data[:, 1:])
-
-
 def _origin_index(grid: GridSpec) -> int:
     """Index of t = 0, where both processes are anchored."""
     if not grid.t_min <= 0.0 <= grid.t_max:

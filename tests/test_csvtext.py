@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volterrasim import csvtext
-from volterrasim.processes import Ensemble, GridSpec, ensemble_from_csv
+from volterrasim.processes import Ensemble, GridSpec
+
+from support import ensemble_from_csv
 
 
 def reference(values):

@@ -118,6 +118,27 @@ class TestSpecs:
             EquationSpec([0.0], [[1.0]], noise)  # zero mode needs opt-in
         EquationSpec([0.0], [[1.0]], noise, allow_unstable=True)
 
+    @pytest.mark.parametrize("x0", [
+        [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], "bogus", "x-Infinity", "1.5",
+        [1.0, math.nan], [math.inf, 0.0], ["a", "b"], [1j, 0.0], {1.0: 2.0}],
+        ids=repr)
+    def test_bad_x0_refused_at_construction(self, x0):
+        # solve_mild used to find these only after simulating the noise
+        with pytest.raises(ConfigError, match="x0 must be None, 'x-infinity' "
+                                              "or 2 finite values"):
+            EquationSpec([0.5, 2.0], [[1.0], [1.0]], NoiseSpec(("fbm",), 0.7),
+                         x0=x0)
+
+    def test_x0_stored_read_only(self):
+        noise = NoiseSpec(("fbm",), 0.7)
+        given = np.array([1.0, -2.0])
+        spec = EquationSpec([0.5, 2.0], [[1.0], [1.0]], noise, x0=given)
+        assert spec.x0.tolist() == [1.0, -2.0]
+        assert not spec.x0.flags.writeable and given.flags.writeable
+        assert unit_spec(x0=3.0).x0.tolist() == [3.0]
+        assert unit_spec(x0="x-infinity").x0 == "x-infinity"
+        assert unit_spec().x0 is None
+
     def test_alpha(self):
         assert NoiseSpec(("fbm",), 0.8).alpha == pytest.approx(0.3)
 

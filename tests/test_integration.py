@@ -17,10 +17,12 @@ from volterrasim.integration import (
     integrate_step,
     kstar,
 )
-from volterrasim.kernels import FbmKernel, cov_R, fbm_cov, phi
+from volterrasim.kernels import FbmKernel, cov_R, fbm_cov
 from volterrasim.processes import Ensemble, GridSpec
 from volterrasim.rng import substream
 from volterrasim.suites import _random_step_function
+
+from support import phi
 
 
 def isometry_suite_functions(seed):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from volterrasim import kernels
 from volterrasim.errors import QuadratureError, check_estimate
@@ -14,9 +15,10 @@ from volterrasim.kernels import (
     cov_R_quadrature,
     fbm_cov,
     fbm_normalizing_constant,
-    phi,
     phi_quadrature,
 )
+
+from support import phi
 
 
 def test_normalizing_constant_identity():
@@ -47,9 +49,36 @@ def test_phi_closed_form_value(H):
 @pytest.mark.parametrize("H", [0.55, 0.7, 0.9])
 def test_phi_quadrature_matches_closed_form(H):
     k = FbmKernel(H)
-    for u, v in [(0.0, 1.0), (-2.0, 3.5), (1.0, 1.01), (-5.0, -4.0)]:
-        quad = phi_quadrature(k, u, v)
-        assert quad == pytest.approx(k.phi_closed_form(u, v), rel=1e-5)
+    u, v = np.array([(0.0, 1.0), (-2.0, 3.5), (1.0, 1.01), (-5.0, -4.0)]).T
+    assert phi_quadrature(k, u, v) == pytest.approx(k.phi_closed_form(u, v),
+                                                    rel=1e-5)
+
+
+@pytest.mark.parametrize("H", [0.51, 0.6, 0.75, 0.9, 0.99])
+def test_phi_quadrature_wide_range(H):
+    # gaps 1e-10 to 1e3 at offsets up to 1e3, either point the lower
+    gap = np.geomspace(1e-10, 1e3, 27)
+    lo = np.array([-1e3, -3.7, 0.0, 1e-6, 0.25, 42.0, 1e3])[:, None]
+    u, v = np.broadcast_arrays(lo, lo + gap)
+    k = FbmKernel(H)
+    for a, b in ((u, v), (v, u)):
+        quad = phi_quadrature(k, a, b)
+        assert quad.shape == (7, 27)
+        np.testing.assert_allclose(quad, k.phi_closed_form(a, b), rtol=1e-13,
+                                   atol=0.0)
+
+
+def test_phi_quadrature_arrays_broadcast():
+    k = _generic_fbm_clone(0.7)
+    u = np.array([[0.0], [2.0]])
+    v = np.array([1.0, -0.5, 3.0])
+    quad = phi_quadrature(k, u, v)
+    assert quad.shape == (2, 3)
+    for i, j in np.ndindex(2, 3):
+        assert quad[i, j] == pytest.approx(
+            FbmKernel(0.7).phi_closed_form(u[i, 0], v[j]), rel=1e-13)
+    scalar = phi_quadrature(k, 0.0, 1.0)
+    assert np.ndim(scalar) == 0 and scalar == quad[0, 0]
 
 
 def test_phi_diagonal_rejected():
@@ -58,6 +87,23 @@ def test_phi_diagonal_rejected():
         phi(k, 1.0, 1.0)
     with pytest.raises(ValueError):
         phi_quadrature(k, 1.0, 1.0)
+    with pytest.raises(ValueError, match="off the diagonal"):
+        phi_quadrature(k, [0.0, 1.0, 2.0], [1.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="off the diagonal"):
+        phi_quadrature(k, np.array([[0.5], [1.0]]), np.array([1.0, 3.0]))
+
+
+def test_phi_quadrature_needs_no_scalar_quad(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.integrate.quad called")
+
+    monkeypatch.setattr(integrate, "quad", refuse)
+    fbm = FbmKernel(0.7)
+    u, v = np.array([0.3, -2.0, 5.0]), np.array([1.1, 4.0, 5.001])
+    assert phi_quadrature(fbm, u, v) == pytest.approx(
+        fbm.phi_closed_form(u, v), rel=1e-13)
+    assert np.all(np.isfinite(phi_quadrature(
+        _tempered_kernel(), [0.00169, 0.004], [4.6179, 3.2])))
 
 
 def _generic_fbm_clone(H):
@@ -220,15 +266,15 @@ def test_cov_R_quadrature_tempered_matches_kstar_polarization(rect):
     assert cov_R_quadrature(k, *rect) == pytest.approx(polar, rel=1e-6)
 
 
-def test_cov_R_quadrature_tempered_far_apart():
+@pytest.mark.parametrize("nu, nv", [(4, 12), (6, 16)])
+def test_cov_R_quadrature_tempered_far_apart(nu, nv):
     # the intervals are disjoint, so phi is smooth on the rectangle and a
     # fixed Gauss rule over phi_quadrature is a reference
     k = _tempered_kernel()
-    xu, wu = np.polynomial.legendre.leggauss(4)
-    xv, wv = np.polynomial.legendre.leggauss(12)
+    xu, wu = np.polynomial.legendre.leggauss(nu)
+    xv, wv = np.polynomial.legendre.leggauss(nv)
     u, v = 0.005 * (xu + 1.0), 4.0 + xv
-    ref = 0.005 * sum(wu[i] * wv[j] * phi_quadrature(k, u[i], v[j])
-                      for i in range(4) for j in range(12))
+    ref = 0.005 * wu @ phi_quadrature(k, u[:, None], v) @ wv
     assert cov_R_quadrature(k, 0.0, 0.01, 3.0, 5.0) == pytest.approx(
         ref, rel=1e-9)
 

@@ -16,7 +16,6 @@ from volterrasim.processes import (
     Ensemble,
     GridSpec,
     RosenblattScheme,
-    ensemble_from_csv,
     rosenblatt_cumulant,
     rosenblatt_discretization_tolerance,
     rosenblatt_grid_covariance,
@@ -28,6 +27,8 @@ from volterrasim.processes import (
     simulate_rosenblatt,
 )
 from volterrasim.rng import normal_matrix
+
+from support import ensemble_from_csv
 
 
 class TestGridSpec:
