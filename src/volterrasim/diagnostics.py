@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from .rng import substream
 
-ROW_BLOCK = 256  # distance-matrix rows made and used together
+ROW_BLOCK = 128  # distance-matrix rows made and used together
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import ConfigError, check_estimate, check_hurst
 from .kernels import tanhsinh_sum
-from .processes import PROCESSES, Ensemble, GridSpec, _simulate_values
+from .processes import PROCESSES, Ensemble, GridSpec, _blocks
 
 # RosenblattScheme.for_grid settings of the solvers' Rosenblatt noise
 TAIL_TOL = 1e-2
 SUBSTEPS = 2
-DIFF_ROWS = 64  # rows differenced together in _diff_in_place
 
 
 @dataclass(frozen=True)
@@ -66,8 +65,8 @@ class EquationSpec:
         if Phi.shape != (len(lam), self.noise.n_components):
             raise ConfigError(
                 f"Phi must be {len(lam)}x{self.noise.n_components}, got {Phi.shape}")
-        if not np.all(np.isfinite(Phi)):
-            raise ConfigError("Phi must be finite")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(Phi))):
+            raise ConfigError("lambdas and Phi must be finite")
         if np.any(lam < 0) or (np.any(lam == 0) and not self.allow_unstable):
             raise ConfigError(
                 "lambdas must be positive (set allow_unstable for zero modes)")
@@ -121,44 +120,35 @@ def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
                     n_paths: int, seed: int) -> np.ndarray:
     """Cell sum of int_grid S(t - r) Phi dB_r, shape (n_t, n_modes, n_paths).
 
-    Noise component k is simulated on grid with stream k, one component
-    at a time: its path values are differenced in place, added into
-    every mode it drives, and dropped.  Each mode still sums its terms
-    in ascending k, and its exponential weights are built at its first
-    nonzero Phi entry and dropped after its last.
+    Noise component k, simulated on grid with stream k, is read one block
+    of PATH_BLOCK paths at a time: a block's increments are added into its
+    columns of every mode k drives, and dropped.  Each mode sums its terms
+    in ascending k; its exponential weights are built at its first nonzero
+    Phi entry and dropped after its last.
     """
     Phi = spec.phi_matrix
     last = {n: row.nonzero()[0][-1] for n, row in enumerate(Phi) if row.any()}
     weights = {}
     out = np.zeros((len(times), spec.n_modes, n_paths))
-    term = None  # the first product allocates it, later ones reuse it
     for k, fam in enumerate(spec.noise.families):
-        values = _simulate_values(fam, grid, spec.noise.H, n_paths, seed, k,
-                                  0, TAIL_TOL, SUBSTEPS)
-        _diff_in_place(values)
-        for n in Phi[:, k].nonzero()[0]:
-            if n not in weights:
-                weights[n] = _exp_cell_averages(spec.lambdas[n], times,
-                                                grid.times)
-            term = np.matmul(weights[n], values[1:], out=term)
-            term *= Phi[n, k]
-            out[:, n, :] += term
-            if k == last[n]:
-                del weights[n]
-        del values  # before the next component is simulated
+        driven = Phi[:, k].nonzero()[0]
+        weights |= {n: _exp_cell_averages(spec.lambdas[n], times, grid.times)
+                    for n in driven if n not in weights}
+        for p0, block in _blocks(fam, grid, spec.noise.H, n_paths, seed, k,
+                                 0, TAIL_TOL, SUBSTEPS):
+            d = np.diff(block, axis=0)
+            for n in driven:
+                out[:, n, p0:p0 + d.shape[1]] += Phi[n, k] * (weights[n] @ d)
+        weights = {n: w for n, w in weights.items() if last[n] > k}
     return out
 
 
-def _diff_in_place(values: np.ndarray) -> None:
-    """values[1:] becomes np.diff(values, axis=0), without a full copy.
-
-    Blocks of DIFF_ROWS rows go from the last up, so each row is read
-    before it is overwritten; numpy copies only a block's overlapping
-    input.
-    """
-    for hi in range(len(values), 1, -DIFF_ROWS):
-        lo = max(hi - DIFF_ROWS, 1)
-        np.subtract(values[lo:hi], values[lo - 1:hi - 1], out=values[lo:hi])
+def _past_steps(t_trunc: float, dt: float) -> int:
+    """Whole steps of dt in the truncated past [-t_trunc, 0]."""
+    if not (math.isfinite(t_trunc) and 0.0 < dt <= t_trunc):  # nan fails
+        raise ConfigError(f"need a finite t_trunc and 0 < dt <= t_trunc, "
+                          f"got t_trunc={t_trunc}, dt={dt}")
+    return int(round(t_trunc / dt))
 
 
 def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
@@ -170,33 +160,45 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
     For x0 = "x-infinity" the noise is simulated jointly on
     [-t_trunc, t_max] and x_infinity = int_{-t_trunc}^0 S(-u) Phi dB_u is
     built from the same paths, so the solution's dependence on the past
-    is preserved.
+    is preserved; t_trunc must then be finite and at least one grid step.
+    The noise is streamed in blocks of paths (_convolve_noise), so a
+    solve holds no other array of every path than its result.
     """
+    return Ensemble(grid, _mild_values(spec, grid, grid.times, n_paths,
+                                       seed, t_trunc))
+
+
+def _mild_values(spec: EquationSpec, grid: GridSpec, times: np.ndarray,
+                 n_paths: int, seed: int, t_trunc: float = 20.0) -> np.ndarray:
+    """solve_mild's values at the grid times `times` only, shape
+    (len(times), n_modes, n_paths)."""
     if grid.t_min != 0.0:
         raise ConfigError("solution grid must start at t = 0")
-    check_H(spec)  # raises unless the Hypothesis-(H) integral converges
-    use_past = isinstance(spec.x0, str)
-    if use_past:
-        n_past = int(round(t_trunc / grid.dt))
+    sim_grid = grid
+    if isinstance(spec.x0, str):
+        n_past = _past_steps(t_trunc, grid.dt)
         sim_grid = GridSpec(-n_past * grid.dt, grid.t_max,
                             n_past + grid.n_points)
-    else:
-        sim_grid = grid
-    times = grid.times
+    check_H(spec)  # raises unless the Hypothesis-(H) integral converges
     out = _convolve_noise(spec, times, sim_grid, n_paths, seed)
-    if spec.x0 is not None and not use_past:
+    if isinstance(spec.x0, np.ndarray):
         decay = np.exp(-np.outer(times, spec.lambdas))  # (n_t, n_modes)
         out += (decay * spec.x0[None, :])[:, :, None]
-    return Ensemble(grid, out)
+    return out
 
 
 def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
                       seed: int, dt: float = 0.01) -> np.ndarray:
-    """Samples of Z''_T = int_{-T}^0 S(-u) Phi dB_u, shape (n_modes, n_paths)."""
-    value, ok = check_limit_condition(spec)
-    if not ok:
+    """Samples of Z''_T = int_{-T}^0 S(-u) Phi dB_u, shape (n_modes, n_paths).
+
+    T = t_trunc, finite, is cut into round(T / dt) equal steps, 0 < dt <= T.
+    The noise is streamed in blocks of paths (_convolve_noise): beyond
+    the result, memory grows with T / dt by one block, not with n_paths.
+    """
+    n_steps = _past_steps(t_trunc, dt)
+    if not check_limit_condition(spec)[1]:
         raise ConfigError("limiting-measure condition fails; x_infinity undefined")
-    grid = GridSpec(-t_trunc, 0.0, max(2, int(round(t_trunc / dt)) + 1))
+    grid = GridSpec(-t_trunc, 0.0, n_steps + 1)
     return _convolve_noise(spec, np.zeros(1), grid, n_paths, seed)[0]
 
 

@@ -26,7 +26,7 @@ from .kernels import fbm_cov
 from .rng import normal_matrix
 
 PROCESSES = ("fbm", "rosenblatt")
-PATH_BLOCK = 64  # path columns drawn and transformed together
+PATH_BLOCK = 32  # path columns drawn and transformed together
 
 
 @dataclass(frozen=True)
@@ -172,24 +172,39 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
     paths are drawn in blocks of PATH_BLOCK, so results depend neither on
     how paths are scheduled across workers nor on the BLAS thread count.
     """
+    return _collect(grid, n_paths, _fbm_blocks(grid, H, n_paths, seed,
+                                               stream, path_offset))
+
+
+def _fbm_blocks(grid, H, n_paths, seed, stream, path_offset):
+    """Yield (first path, values) of simulate_fbm, PATH_BLOCK paths each."""
     check_hurst(H)
     i0 = _origin_index(grid)
     n_steps = grid.n_points - 1
     m = 2 * n_steps
     scale = _fgn_spectrum(n_steps, grid.dt, H)
-    values = np.zeros((grid.n_points, n_paths))
     for p0 in range(0, n_paths, PATH_BLOCK):
         nb = min(PATH_BLOCK, n_paths - p0)
         Z = normal_matrix(seed, stream, m, nb, path_offset + p0)
         # Z[k] and Z[n_steps + k] are the real and imaginary parts of
         # frequency k; frequencies 0 and n_steps are real
         spec = Z[:n_steps + 1].astype(complex)
-        spec[1:n_steps] = (Z[1:n_steps] + 1j * Z[n_steps + 1:]) * np.sqrt(0.5)
+        spec.imag[1:n_steps] = Z[n_steps + 1:]
+        spec[1:n_steps] *= np.sqrt(0.5)
         spec *= scale[:, None]
         fgn = np.fft.irfft(spec, m, axis=0, norm="forward")[:n_steps]
-        np.cumsum(fgn, axis=0, out=values[1:, p0:p0 + nb])
-    # a copy of the row, or numpy copies all of values for the aliasing
-    values -= values[i0].copy()
+        block = np.zeros((grid.n_points, nb))
+        np.cumsum(fgn, axis=0, out=block[1:])
+        # a copy of the row, or numpy copies all of block for the aliasing
+        block -= block[i0].copy()
+        yield p0, block
+
+
+def _collect(grid: GridSpec, n_paths: int, blocks) -> Ensemble:
+    """The ensemble whose path columns blocks yields as (first path, values)."""
+    values = np.empty((grid.n_points, n_paths))
+    for p0, block in blocks:
+        values[:, p0:p0 + block.shape[1]] = block
     return Ensemble(grid, values)
 
 
@@ -390,6 +405,12 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
     Paths are drawn and projected in blocks of PATH_BLOCK columns; each
     column is transformed alone, so a path does not depend on its block.
     """
+    return _collect(grid, n_paths, _rosenblatt_blocks(
+        grid, scheme, n_paths, seed, stream, path_offset))
+
+
+def _rosenblatt_blocks(grid, scheme, n_paths, seed, stream, path_offset):
+    """Yield (first path, values) of simulate_rosenblatt, PATH_BLOCK paths each."""
     if scheme.y_edges[-1] < grid.t_max - 1e-12:
         raise ConfigError("chaos grid must reach t_max")
     tail = scheme.tail_bound(grid)
@@ -400,7 +421,7 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
     i0 = _origin_index(grid)
     u, du, _ = _time_refinement(grid, scheme.substeps)
     proj = _ChaosProjection(scheme, u, du)
-    values = np.zeros((grid.n_points, n_paths))
+    s = scheme.substeps
     for p0 in range(0, n_paths, PATH_BLOCK):
         nb = min(PATH_BLOCK, n_paths - p0)
         W = normal_matrix(seed, stream, proj.n_cells, nb, path_offset + p0)
@@ -408,12 +429,15 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
         # increments R_t - R_s integrate the (positive) product kernel
         # over (s, t); anchoring at 0 happens through the prefix
         # difference below, which carries the right sign for t < 0
-        contrib = du * (M * M - proj.mass[:, None])
-        s = scheme.substeps
-        values[1:, p0:p0 + nb] = np.cumsum(contrib, axis=0)[s - 1::s]
-    values -= values[i0].copy()  # see simulate_fbm
-    values *= rosenblatt_normalizer(scheme.H)
-    return Ensemble(grid, values)
+        M *= M
+        M -= proj.mass[:, None]
+        M *= du
+        np.cumsum(M, axis=0, out=M)
+        block = np.zeros((grid.n_points, nb))
+        block[1:] = M[s - 1::s]
+        block -= block[i0].copy()  # see _fbm_blocks
+        block *= rosenblatt_normalizer(scheme.H)
+        yield p0, block
 
 
 def rosenblatt_grid_covariance(grid: GridSpec, scheme: RosenblattScheme) -> np.ndarray:
@@ -452,28 +476,24 @@ def simulate(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
     simulated on its lattice continued to t = 0 and then cut back, which
     needs t = 0 to lie a whole number of steps (to 1e-9) from the grid.
     """
+    return _collect(grid, n_paths, _blocks(
+        process, grid, H, n_paths, seed, stream, path_offset, tail_tol, substeps))
+
+
+def _blocks(process: str, grid: GridSpec, H: float, n_paths: int, seed: int,
+            stream: int, path_offset: int, tail_tol: float, substeps: int):
+    """Yield (first path, values) of simulate's ensemble, PATH_BLOCK paths each."""
     if process not in PROCESSES:
         raise ConfigError(f"unknown process {process!r}")
     sim_grid, rows = through_origin(grid)
     if process == "fbm":
-        ens = simulate_fbm(sim_grid, H, n_paths, seed, stream, path_offset)
+        blocks = _fbm_blocks(sim_grid, H, n_paths, seed, stream, path_offset)
     else:
         scheme = RosenblattScheme.for_grid(sim_grid, H, tail_tol=tail_tol,
                                            substeps=substeps)
-        ens = simulate_rosenblatt(sim_grid, scheme, n_paths, seed, stream,
-                                  path_offset)
-    return ens if sim_grid is grid else Ensemble(grid, ens.values[rows])
-
-
-def _simulate_values(*args) -> np.ndarray:
-    """simulate(*args).values, writable, for a caller that may overwrite it.
-
-    The Ensemble is made here and dropped, so its read-only view is the
-    only other reference to the sampler's fresh array.
-    """
-    values = simulate(*args).values
-    values.setflags(write=True)
-    return values
+        blocks = _rosenblatt_blocks(sim_grid, scheme, n_paths, seed, stream,
+                                    path_offset)
+    yield from ((p0, block[rows]) for p0, block in blocks)
 
 
 def through_origin(grid: GridSpec):

@@ -13,8 +13,8 @@ from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
 from .diagnostics import energy_statistic, energy_two_sample
 from .errors import ConfigError
 from .evolution import SUBSTEPS, TAIL_TOL, EquationSpec, NoiseSpec, \
-    check_limit_condition, covariance_q_infinity, covariance_qt, \
-    sample_x_infinity, solve_mild
+    _mild_values, check_limit_condition, covariance_q_infinity, \
+    covariance_qt, sample_x_infinity
 from .integration import StepFunction, check_law_symmetries, d_norm_sq, \
     integrate_step
 from .kernels import FbmKernel, check_regularity, phi_quadrature
@@ -113,20 +113,24 @@ def suite_law_symmetry(H: float, n_paths: int, seed: int):
     return ok, lines
 
 
+def _solution_at(spec, grid, times, n_paths, seed):
+    """{t: X_t, shape (n_paths, n_modes)} of solve_mild at the given times
+    only, each snapped to the grid as Ensemble.at snaps it."""
+    rows = sorted({grid.index_of(t) for t in times})
+    values = _mild_values(spec, grid, grid.times[rows], n_paths, seed)
+    return {t: values[rows.index(grid.index_of(t))].T for t in times}
+
+
 def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity"):
     spec = default_equation(H, x0=x0)
-    grid = GridSpec(0.0, 3.0, 151)
-    sol = solve_mild(spec, grid, n_paths, seed)
     base_times = (0.5, 1.0, 2.0)
     h = 1.0
-    n = sol.n_paths
-    half = n // 2
-
-    def joint(ts, sl):
-        return np.column_stack([sol.at(t)[:, sl].T for t in ts])
-
-    base = joint(base_times, slice(0, half))
-    shifted = joint(tuple(t + h for t in base_times), slice(half, n))
+    shifted_times = tuple(t + h for t in base_times)
+    X = _solution_at(spec, GridSpec(0.0, 3.0, 151),
+                     base_times + shifted_times, n_paths, seed)
+    half = n_paths // 2
+    base = np.column_stack([X[t][:half] for t in base_times])
+    shifted = np.column_stack([X[t][half:] for t in shifted_times])
     rep = energy_two_sample(base, shifted, seed=seed)
     line = f"joint law at {base_times} vs shift h={h}: {rep}"
     return rep.passed, [line]
@@ -153,11 +157,8 @@ def suite_limit(H: float, n_paths: int, seed: int):
     ok &= good
     lines.append("covariance gap positive and falling: "
                  + ("pass" if good else "FAIL"))
-    grid = GridSpec(0.0, LIMIT_TIMES[-1], 401)
-    sol = solve_mild(spec, grid, n_paths, seed)
-    # copies of the tested times, so that the whole solution can go
-    X = {t: sol.at(t).T.copy() for t in (LIMIT_EARLY, *LIMIT_TIMES)}
-    del sol
+    X = _solution_at(spec, GridSpec(0.0, LIMIT_TIMES[-1], 401),
+                     (LIMIT_EARLY, *LIMIT_TIMES), n_paths, seed)
     target = sample_x_infinity(spec, 25.0, n_paths, seed + 1, dt=0.02).T
     for t in LIMIT_TIMES:
         d = energy_statistic(X[t], target)

@@ -435,6 +435,75 @@ class TestXInfinity:
             sample_x_infinity(spec, t_trunc=5.0, n_paths=10, seed=0)
 
 
+class TestTruncationInputs:
+    """Bad truncation inputs are refused before any noise is simulated."""
+
+    @pytest.fixture(autouse=True)
+    def no_simulation(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("noise simulated")
+
+        monkeypatch.setattr(evolution, "_convolve_noise", fail)
+
+    @pytest.mark.parametrize("t_trunc", [0.0, 1e-9, -1.0, math.nan, math.inf])
+    def test_solve_mild_t_trunc(self, t_trunc):
+        # 0 and 1e-9 used to drop the past: every value at t = 0 was 0.0
+        with pytest.raises(ConfigError, match="t_trunc"):
+            solve_mild(unit_spec(x0="x-infinity"), GridSpec(0.0, 1.0, 11),
+                       200, seed=1, t_trunc=t_trunc)
+
+    @pytest.mark.parametrize("t_trunc, dt", [
+        (25.0, -0.1), (25.0, 100.0), (25.0, 0.0), (25.0, math.nan),
+        (25.0, math.inf), (math.nan, 0.01), (math.inf, 0.01), (0.0, 0.01),
+        (-1.0, 0.01)])
+    def test_sample_x_infinity_t_trunc_and_dt(self, t_trunc, dt):
+        # dt -0.1 and 100 used to give one 25-unit cell, variance 0.155
+        # against q_inf 0.62
+        with pytest.raises(ConfigError, match="t_trunc"):
+            sample_x_infinity(unit_spec(), t_trunc, 200, 1, dt=dt)
+
+    @pytest.mark.parametrize("lambdas", [[math.nan, 1.0], [1.0, math.inf],
+                                         [math.nan, math.inf]])
+    def test_non_finite_lambdas(self, lambdas):
+        with pytest.raises(ConfigError, match="finite"):
+            EquationSpec(lambdas, [[1.0], [1.0]], NoiseSpec(("fbm",), 0.7))
+
+
+class TestStreamedMemory:
+    """The solvers hold one block of paths, not a whole noise component."""
+
+    def test_x_infinity_grows_with_the_grid_by_one_block(self):
+        # traced peak less the output on 256 paths, t_trunc 5 and 40:
+        # 3.1 and 23.6 MiB with a whole component held, 1.3 and 9.9 MiB
+        # with one block of PATH_BLOCK paths
+        spec = default_equation(0.7)
+        extra = {}
+        for t_trunc in (5.0, 40.0):
+            tracemalloc.start()
+            try:
+                z = sample_x_infinity(spec, t_trunc, 256, seed=1)
+                extra[t_trunc] = tracemalloc.get_traced_memory()[1] - z.nbytes
+            finally:
+                tracemalloc.stop()
+        assert extra[40.0] - extra[5.0] < 14 * 2 ** 20
+
+    def test_solve_mild_does_not_grow_with_paths(self):
+        # traced peak less the output, 256 and 2048 paths: it grew by
+        # 3.2 MiB with a whole component held, and by 0 streamed
+        spec = EquationSpec([1.0, 3.0], np.ones((2, 2)),
+                            NoiseSpec(("fbm", "fbm"), 0.7))
+        extra = {}
+        for n in (256, 2048):
+            tracemalloc.start()
+            try:
+                sol = solve_mild(spec, GridSpec(0.0, 1.0, 101), n, seed=3)
+                extra[n] = tracemalloc.get_traced_memory()[1] \
+                    - sol.values.nbytes
+            finally:
+                tracemalloc.stop()
+        assert extra[2048] - extra[256] < 1.6 * 2 ** 20
+
+
 class TestLimitSuite:
     def test_wrongly_scaled_x_infinity_fails(self, monkeypatch):
         # criterion 7's call, with the target law made 1.3 times too wide

@@ -276,6 +276,25 @@ class TestBatchSplit:
         assert np.array_equal(whole[:, 60:70], run(10, 60))
 
 
+class TestPathBlocks:
+    """simulate's block generator, which the solvers read one block at a
+    time, gives simulate's bytes."""
+
+    @pytest.mark.parametrize("process", ["fbm", "rosenblatt"])
+    @pytest.mark.parametrize("grid", [GridSpec(-1.0, 1.0, 41),
+                                      GridSpec(0.5, 2.0, 31)],
+                             ids=["through-0", "without-0"])
+    def test_blocks_join_to_simulate(self, process, grid):
+        n = 2 * processes.PATH_BLOCK + 5
+        args = (process, grid, 0.75, n, 4, 2, 7, 1e-2, 2)
+        blocks = list(processes._blocks(*args))
+        assert [p0 for p0, _ in blocks] == \
+            list(range(0, n, processes.PATH_BLOCK))
+        joined = np.hstack([block for _, block in blocks])
+        assert joined.shape == (grid.n_points, n)
+        assert joined.tobytes() == simulate(*args).values.tobytes()
+
+
 class TestAnchoring:
     """R and b vanish at t = 0 also for grids that do not contain it."""
 
