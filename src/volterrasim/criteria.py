@@ -4,19 +4,22 @@ For the left-shift semigroup with symbol phi(xi) = (1 + xi)^(-beta) the
 trace of the solution covariance stays bounded iff the triple integral
 J(beta, H) is finite, which happens exactly for beta > H + 1/2.  J is
 evaluated two independent ways: a closed form through Gauss's sum of
-2F1 at z = 1 (scipy.special.hyp2f1), and direct nested quadrature with
-explicit truncation.  The stochastic heat equation on the unit box is
-admissible iff d < 4H; the Hilbert-Schmidt decay exponent -d/2 of the
-heat semigroup is checked against the explicit eigenvalue sums.
+2F1 at z = 1 (scipy.special.hyp2f1), and direct quadrature over a
+truncated box, extrapolated in the truncation, whose Gauss-Jacobi and
+log-mapped rules fit each axis's singular weight and scales.  The
+stochastic heat equation on the unit box is admissible iff d < 4H; the
+Hilbert-Schmidt decay exponent -d/2 of the heat semigroup is checked
+against the explicit eigenvalue sums.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .errors import check_estimate, check_hurst
+from .errors import ConfigError, check_estimate, check_hurst
 from .kernels import gauss_legendre
 
 DIVERGENT = math.inf
@@ -52,100 +55,113 @@ class JQuadResult:
     converged: bool
 
 
-def _j_panel(beta: float, H: float, lo: float, hi: float, rule) -> float:
-    """J's integral over the u panel [lo, hi], by a tensor Gauss rule.
+# the value's rule order, and the coarser order its rule term compares with
+J_ORDERS = (10, 8)
 
-    By symmetry J(T) = 2 int_0^T du int_0^u dv D(u, v) (u - v)^(2H-2)
-    with D the xi profile int_0^inf (u+xi+1)^(-beta) (v+xi+1)^(-beta).
-    The substitution sigma = (u - v)^(2H-1) absorbs the singular weight
-    exactly; the half-line xi integral is mapped to (0, 1) rationally.
-    rule is a Gauss-Legendre (nodes, weights) pair; the fixed-order
-    tensor rule keeps the whole evaluation vectorised.
+
+def _jacobi01(order: int, a: float):
+    """Gauss-Jacobi (nodes, weights) on (0, 1) for the weight x^a, a > -1."""
+    x, w = special.roots_jacobi(order, 0.0, a)
+    return 0.5 * (x + 1.0), w * 0.5 ** (a + 1.0)
+
+
+def _aitken(seq):
+    """One sweep of Aitken's delta-squared over consecutive triples."""
+    out = []
+    for a, b, c in zip(seq, seq[1:], seq[2:]):
+        denom = c - 2.0 * b + a
+        out.append(c if denom == 0.0 else c - (c - b) ** 2 / denom)
+    return out
+
+
+def _j_levels(beta: float, H: float, truncation: float,
+              order: int) -> np.ndarray:
+    """J over [0, T 2^k]^2, k = 0..5, T = truncation, by one tensor rule.
+
+    By symmetry J(T) = 2 int_0^T du int_0^u dv D(u, v) (u - v)^(2H-2),
+    D(u, v) = int_0^inf (u+xi+1)^(-beta) (v+xi+1)^(-beta) dxi.  Each axis
+    is split where its integrand changes scale, and each piece gets an
+    order-`order` rule that absorbs its singular or decaying factor.
+    u: Gauss-Jacobi with weight u^(2H-1) on [0, 1], where the inner
+    integral behaves so, then Gauss-Legendre in log u on the panels
+    1, 4, 16, ..., T, 2T, ..., 32T that the six levels share.  v:
+    Gauss-Jacobi in w = u - v with weight w^(2H-2) on [u/2, u]; below
+    u/2, where D varies on the scale v + 1, v = (1 + u/2)^s - 1.  xi:
+    below u + 1 the log map xi + v + 1 = (v + 1) r^s with
+    r = (u + v + 2)/(v + 1) covers the scales v + 1 and u + 1; above it
+    xi = (u + 1)/t leaves Gauss-Jacobi with weight t^(2 beta - 2).
     """
-    x, w = rule
-    x01 = 0.5 * (x + 1.0)  # nodes on (0, 1)
-    w01 = 0.5 * w
     p = 2.0 * H - 1.0
-    u = lo + (hi - lo) * x01  # (order,)
-    wu = (hi - lo) * w01
-    sigma = np.outer(u ** p, x01)  # (order, order) on (0, u^p)
-    wsig = np.outer(u ** p, w01) / p
-    half = 0.5 * sigma ** (1.0 / p)  # (u - v) / 2
-    # xi = m t / (1 - t) with scale m = 1 + (u + v) / 2, so u + xi + 1 and
-    # v + xi + 1 are m / (1 - t) +- half, and dxi = m w01 / (1 - t)^2
-    m = 1.0 + u[:, None] - half
-    integrand = np.multiply.outer(m, 1.0 / (1.0 - x01))  # (order,)*3
-    integrand *= integrand
-    integrand -= (half * half)[:, :, None]
-    np.power(integrand, -beta, out=integrand)
-    D = m * (integrand @ (w01 / (1.0 - x01) ** 2))
-    return float(wu @ np.sum(D * wsig, axis=1))
-
-
-def _j_truncated(panel, T: float, order: int = 32) -> float:
-    """J over the box [0, T]^2: panel(lo, hi, order) summed over u panels.
-
-    Geometric u panels resolve the (1 + u)-power decay.
-    """
-    edges = [0.0, 1.0]
-    while edges[-1] < T:
-        edges.append(min(4.0 * edges[-1], T))
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        total += panel(lo, hi, order)
-    return 2.0 * total
+    x, w = gauss_legendre(order)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w  # Gauss-Legendre on (0, 1)
+    edges = [1.0]
+    while edges[-1] < truncation:
+        edges.append(min(4.0 * edges[-1], truncation))
+    edges += [truncation * 2.0 ** k for k in range(1, 6)]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    log_ratio = np.log(hi / lo)[:, None]
+    u_log = lo[:, None] * np.exp(log_ratio * s)
+    u0, w0 = _jacobi01(order, p)
+    u = np.concatenate([u0, u_log.ravel()])
+    wu = np.concatenate([w0 / u0 ** p, (ws * u_log * log_ratio).ravel()])
+    uc = u[:, None]
+    # v: columns below u/2, then the near-diagonal ones
+    L = np.log1p(0.5 * uc)
+    v_far = np.expm1(L * s)
+    xw, ww = _jacobi01(order, p - 1.0)  # w = (u/2) xw
+    v = np.hstack([v_far, uc * (1.0 - 0.5 * xw)])
+    wv = np.hstack([ws * (v_far + 1.0) * L * (uc - v_far) ** (p - 1.0),
+                    ww * (0.5 * uc) ** p])
+    # xi below u + 1, with y = xi + v + 1; above it xi = (u + 1)/t
+    b = (v + 1.0)[:, :, None]
+    lr = np.log1p((uc + 1.0) / (v + 1.0))
+    y = b * np.exp(lr[:, :, None] * s)
+    D = lr * (((y * (y + (uc - v)[:, :, None])) ** -beta * y) @ ws)
+    t, wt = _jacobi01(order, 2.0 * beta - 2.0)
+    f = ((t + 1.0) * (b * t + (uc + 1.0)[:, :, None])) ** -beta
+    D += (uc + 1.0) ** (1.0 - beta) * (f @ wt)
+    inner = np.sum(D * wv, axis=1)
+    return 2.0 * np.cumsum((wu * inner).reshape(-1, order).sum(axis=1))[-6:]
 
 
 def j_quadrature(beta: float, H: float,
                  truncation: float = 100.0) -> JQuadResult:
-    """J(beta, H) by direct nested quadrature on [0, T]^2.
+    """J(beta, H) by direct quadrature on [0, T]^2, without hypergeometrics.
 
     The truncation error decays like T^(-q) with q = 2 beta - 2H - 1
     (the exponent of the divergent factor at the threshold).  Partial
-    values at T, 2T, ..., 32T are accelerated by two sweeps of Aitken's
-    delta-squared, which estimates the decay rate (and its first
-    correction) from the data itself.  Below the threshold q <= 0 the
-    partial values keep growing and the result is reported as
-    non-converged; above it an error estimate over 1e-3 of the value
-    raises QuadratureError.
+    values at T, 2T, ..., 32T (`_j_levels`) are accelerated by two sweeps
+    of Aitken's delta-squared, which estimates the decay rate (and its
+    first correction) from the data itself.  The error estimate adds the
+    spread of the last sweeps to a rule term: twice the distance to the
+    same extrapolation on the coarser rule of `J_ORDERS`.  Below the
+    threshold q <= 0 the partial values keep growing and the result is
+    reported as non-converged; above it an error estimate over 1e-3 of
+    the value raises QuadratureError.  beta <= 1/2, H outside (1/2, 1),
+    a non-finite beta and a truncation that is not finite or below 1
+    raise ConfigError.
     """
-    if beta <= 0.5:
-        raise ValueError("beta must exceed 1/2")
-    # the truncation levels share their inner panels: each (panel, order)
-    # is computed once
-    panels = {}
-
-    def panel(lo, hi, order):
-        if (lo, hi, order) not in panels:
-            panels[lo, hi, order] = _j_panel(beta, H, lo, hi,
-                                             gauss_legendre(order))
-        return panels[lo, hi, order]
-
-    # a common order keeps the level differences free of rule error
-    v = [_j_truncated(panel, truncation * 2.0 ** k) for k in range(6)]
+    if not (math.isfinite(beta) and beta > 0.5):
+        raise ConfigError(f"beta must be finite and exceed 1/2, got {beta}")
+    check_hurst(H)
+    if not (math.isfinite(truncation) and truncation >= 1.0):
+        raise ConfigError(
+            f"truncation must be finite and at least 1, got {truncation}")
+    fine, coarse = J_ORDERS
+    v = _j_levels(beta, H, truncation, fine)
     q = 2.0 * beta - 2.0 * H - 1.0
     if q <= 0.05:
-        return JQuadResult(v[-1], abs(v[-1] - v[-2]), False)
-
-    def aitken(seq):
-        out = []
-        for a, b, c in zip(seq, seq[1:], seq[2:]):
-            denom = c - 2.0 * b + a
-            out.append(c if denom == 0.0 else c - (c - b) ** 2 / denom)
-        return out
-
-    a1 = aitken(v)
-    acc = aitken(a1)
+        return JQuadResult(float(v[-1]), float(abs(v[-1] - v[-2])), False)
+    a1 = _aitken(v)
+    acc = _aitken(a1)
     e1, e2 = acc[-2], acc[-1]
-    # rule error is largest at the widest truncation; probe it by
-    # re-evaluating the top level at a higher order
-    # the factor 2 covers what an order-48 probe itself cannot see
+    # the factor 2 covers what the coarser rule itself cannot see
     rule_err = 2.0 * abs(
-        _j_truncated(panel, truncation * 32.0, order=48) - v[-1])
+        _aitken(_aitken(_j_levels(beta, H, truncation, coarse)))[-1] - e2)
     err = abs(e2 - e1) + 0.5 * abs(e2 - a1[-1]) + rule_err
     check_estimate("J quadrature (increase truncation)", e2, err, 1e-3,
                    1e-3 * 1e-300)
-    return JQuadResult(e2, err, True)
+    return JQuadResult(float(e2), float(err), True)
 
 
 def shift_trace_criterion(beta: float, H: float) -> dict:
@@ -181,22 +197,30 @@ def hs_heat_norm_sq(d: int, r) -> np.ndarray:
     return theta ** d
 
 
+@functools.cache
+def _hs_decay_exponent(d: int) -> float:
+    """Fitted log-log slope of |S(r)|_HS^2 in d dimensions; depends on d only.
+
+    Samples r in [1e-4, 1e-1]; the exponent is the slope over the first
+    decade, where the k = 0 lattice correction to the theta sum is
+    negligible and the power law -d/2 is clean.
+    """
+    r = np.logspace(-4, -1, 60)
+    y = hs_heat_norm_sq(d, r)
+    asym = r <= 1e-3
+    return float(np.polyfit(np.log(r[asym]), np.log(y[asym]), 1)[0])
+
+
 def heat_admissibility(d: int, H: float) -> dict:
     """Admissibility verdict d < 4H plus the fitted HS decay exponent.
 
     The Dirichlet heat equation on the unit box in d = 1, 2 or 3
-    dimensions has lambda_n = pi^2 |n|^2.  Samples r in [1e-4, 1e-1];
-    the exponent is the log-log slope over the first decade, where the
-    k = 0 lattice correction to the theta sum is negligible and the
-    power law -d/2 is clean.
+    dimensions has lambda_n = pi^2 |n|^2; the exponent is fitted once per d.
     """
     if d not in (1, 2, 3):
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
     check_hurst(H)
-    r = np.logspace(-4, -1, 60)
-    y = hs_heat_norm_sq(d, r)
-    asym = r <= 1e-3
-    slope = float(np.polyfit(np.log(r[asym]), np.log(y[asym]), 1)[0])
+    slope = _hs_decay_exponent(d)
     return {
         "admissible": d < 4.0 * H,
         "fitted_exponent": slope,

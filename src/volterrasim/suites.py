@@ -192,7 +192,7 @@ def suite_criteria():
         jc = j_closed_form(beta, H)
         jq = j_quadrature(beta, H, truncation=200.0)
         rel = abs(jc - jq.value) / jc
-        good = rel <= 1e-3
+        good = rel <= 1e-5
         ok &= good
         lines.append(f"J closed {jc:.6f} vs quadrature {jq.value:.6f} "
                      f"(beta={beta}, H={H}): rel {rel:.2e} "

@@ -395,7 +395,7 @@ README_VERIFY_MD5 = {
     "law-symmetry": "44dc35e4439b26c8d48e15e75891504d",
     "stationarity": "14cb82d81e052bf08e61e49ab868760f",
     "limit": "a13e045829b82ac0171588e8d71e128a",
-    "criteria": "cd299c4cf04b353d834bfb69ec88fc9f",
+    "criteria": "c52c28f05da7094f56810d97fca0c7a3",
 }
 
 

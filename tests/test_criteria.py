@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from volterrasim import criteria
 from volterrasim.criteria import (
     DIVERGENT,
     heat_admissibility,
@@ -12,6 +14,27 @@ from volterrasim.criteria import (
     j_quadrature,
     shift_trace_criterion,
 )
+from volterrasim.errors import ConfigError, QuadratureError
+
+# (H, q = 2 beta - 2H - 1, truncation) across the convergent range
+SWEEP = list(itertools.product((0.55, 0.6, 0.7, 0.75, 0.8, 0.9, 0.95),
+                               (0.3, 0.5, 0.8, 1.0, 1.5, 2.0, 3.0),
+                               (100.0, 200.0)))
+
+
+def _sweep():
+    """(q, |value - closed form|, error estimate) of each case that returns."""
+    out = []
+    for H, q, T in SWEEP:
+        beta = 0.5 * (q + 2.0 * H + 1.0)
+        try:
+            res = j_quadrature(beta, H, truncation=T)
+        except QuadratureError:
+            continue
+        assert res.converged
+        out.append((q, abs(res.value - j_closed_form(beta, H)),
+                    res.error_estimate))
+    return out
 
 
 class TestExamples:
@@ -68,11 +91,26 @@ class TestJQuadrature:
         res = j_quadrature(beta, H)
         assert res.converged
         closed = j_closed_form(beta, H)
-        assert res.value == pytest.approx(closed, rel=1e-3)
+        assert res.value == pytest.approx(closed, rel=1e-5)
+        assert abs(res.value - closed) <= res.error_estimate
+
+    def test_estimate_bounds_error_on_sweep(self):
+        done = _sweep()
+        # every case with q >= 0.8 converges, and 16 of the 28 with q < 0.8
+        assert sum(q >= 0.8 for q, _, _ in done) == 70
+        assert len(done) >= 86
+        assert all(err <= est for _, err, est in done)
+
+    def test_estimate_bounds_error_on_coarse_rule(self, monkeypatch):
+        # at orders (6, 4) the rule error is no longer negligible: the
+        # estimate has to carry it
+        monkeypatch.setattr(criteria, "J_ORDERS", (6, 4))
+        done = _sweep()
+        assert len(done) >= 70
+        assert all(err <= est for _, err, est in done)
 
     def test_slow_decay_near_threshold(self):
         # q = 0.2: the default truncation is honestly refused ...
-        from volterrasim.errors import QuadratureError
         with pytest.raises(QuadratureError):
             j_quadrature(1.3, 0.7)
         # ... and a wider one converges close to the closed form
@@ -87,6 +125,30 @@ class TestJQuadrature:
     def test_validation(self):
         with pytest.raises(ValueError):
             j_quadrature(0.4, 0.7)
+
+    @pytest.mark.parametrize("H", [0.3, 0.5, 1.0, 1.2, math.nan])
+    def test_refuses_hurst_outside_range(self, monkeypatch, H):
+        monkeypatch.setattr(criteria, "_j_levels", None)  # no quadrature
+        with pytest.raises(ConfigError, match="H must lie"):
+            j_quadrature(1.7, H)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_refuses_nonfinite_beta(self, monkeypatch, beta):
+        monkeypatch.setattr(criteria, "_j_levels", None)
+        with pytest.raises(ConfigError, match="beta must be finite"):
+            j_quadrature(beta, 0.7)
+
+    @pytest.mark.parametrize("truncation",
+                             [0.0, -5.0, 0.5, math.nan, math.inf])
+    def test_refuses_bad_truncation(self, monkeypatch, truncation):
+        monkeypatch.setattr(criteria, "_j_levels", None)
+        with pytest.raises(ConfigError, match="truncation must be"):
+            j_quadrature(1.7, 0.7, truncation=truncation)
+
+    def test_smallest_truncation_is_accepted(self):
+        res = j_quadrature(2.5, 0.75, truncation=1.0)
+        assert res.converged
+        assert abs(res.value - j_closed_form(2.5, 0.75)) <= res.error_estimate
 
 
 class TestShiftTraceCriterion:
@@ -138,6 +200,13 @@ class TestHeat:
         out = heat_admissibility(d, 0.8)
         assert out["exponent_ok"]
         assert abs(out["fitted_exponent"] + d / 2.0) <= 0.1
+
+    def test_exponent_fitted_once_per_d(self):
+        criteria._hs_decay_exponent.cache_clear()
+        for d in (1, 2, 3):
+            for H in (0.6, 0.7, 0.8, 0.9):
+                heat_admissibility(d, H)
+        assert criteria._hs_decay_exponent.cache_info().misses == 3
 
     def test_admissibility_table(self):
         # d < 4H: flips between H = 0.7 and H = 0.8 at d = 3
