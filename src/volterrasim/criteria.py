@@ -34,8 +34,11 @@ def j_closed_form(beta: float, H: float) -> float:
     positive terms, so it integrates term by term; with
     (2H)_k / (2H - 1 + k) = (2H - 1)_k / (2H - 1) the z integral is
     2F1(b, 2H - 1; 2b; 1) / (2H - 1), a Gauss sum since
-    c - a - b = b - 2H + 1 > 1/2.
+    c - a - b = b - 2H + 1 > 1/2.  A beta that is not finite raises
+    ConfigError.
     """
+    if not math.isfinite(beta):
+        raise ConfigError(f"beta must be finite, got {beta}")
     if beta <= H:
         raise ValueError(
             "closed form requires beta > H; use j_quadrature below that")
@@ -173,8 +176,8 @@ def shift_trace_criterion(beta: float, H: float) -> dict:
     square-integrability of phi(xi + r), i.e. beta > 1.
     sup_t Tr q_t = H (2H - 1) J(beta, H).
     """
-    if beta <= 0.5:
-        raise ValueError(f"beta must exceed 1/2, got {beta}")
+    if not (math.isfinite(beta) and beta > 0.5):
+        raise ConfigError(f"beta must be finite and exceed 1/2, got {beta}")
     check_hurst(H)
     # the 2F1 reduction needs beta > H; below it J diverges too
     j = j_closed_form(beta, H) if beta > H else DIVERGENT

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .errors import ConfigError
 from .rng import substream
 
 ROW_BLOCK = 128  # distance-matrix rows made and used together
@@ -41,12 +42,16 @@ def energy_statistic(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _stack(X, Y):
-    """(the rows of X stacked over those of Y, len(X))."""
+    """(the rows of X stacked over those of Y, len(X)); ConfigError if a
+    value is not finite."""
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError("samples must share dimension")
-    return np.vstack([X, Y]), len(X)
+    Z = np.vstack([X, Y])
+    if not np.all(np.isfinite(Z)):
+        raise ConfigError("samples must be finite")
+    return Z, len(X)
 
 
 def _energy_columns(Z, in_x):

@@ -232,10 +232,11 @@ def covariance_g(spec: EquationSpec, r: float, s: float) -> np.ndarray:
     One tanh-sinh call takes every entry of the array on each of the three
     pieces between -s^(2H-1), 0, the kink at w = r - s and r^(2H-1), each
     entry divided by its exponential mass so that the error test holds
-    entrywise.
+    entrywise.  An r or s that is negative or not finite raises
+    ConfigError.
     """
-    if r < 0 or s < 0:
-        raise ValueError("need r, s >= 0")
+    if not (0.0 <= r < math.inf and 0.0 <= s < math.inf):
+        raise ConfigError(f"need finite r, s >= 0, got r = {r}, s = {s}")
     if r == 0.0 or s == 0.0:
         return np.zeros((spec.n_modes, spec.n_modes))
     H = spec.noise.H

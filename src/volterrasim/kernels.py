@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
-from .errors import QuadratureError, check_estimate, check_hurst
+from .errors import ConfigError, QuadratureError, check_estimate, check_hurst
 
 # tanh-sinh's stopping tolerance in cov_R_quadrature, its default.  The
 # estimate it stops on is a heuristic, so rtol times the summed |pieces|
@@ -247,20 +247,112 @@ def tanhsinh_sum(what, f, a, b, args=(), rtol=COV_R_RTOL):
     """(sum, estimate) of one vectorised tanh-sinh call over its pieces.
 
     The pieces run along the first axis of the broadcast shape of a, b
-    and args; further axes stay in the sum.  A piece that tanh-sinh did not
-    converge on raises QuadratureError.  The call stops no earlier than
-    level 4: at levels 2 and 3 its estimate fell below the error by up to
-    500 times on cov_R's pieces and 35,000 times on check_limit_condition's.
-    The estimate is a heuristic even so, and rtol times the summed
-    |pieces| is added to it (see COV_R_RTOL).
+    and args; further axes stay in the sum.  Limits must be finite with
+    a <= b, else ConfigError.  A piece that tanh-sinh did not converge on
+    raises QuadratureError.  The call stops no earlier than level 4: at
+    levels 2 and 3 its estimate fell below the error by up to 500 times
+    on cov_R's pieces and 35,000 times on check_limit_condition's.  The
+    estimate is a heuristic even so, and rtol times the summed |pieces|
+    is added to it (see COV_R_RTOL).  The engine, _tanhsinh, is a port of
+    scipy.integrate.tanhsinh that gives its bits.
     """
-    res = integrate.tanhsinh(f, a, b, args=args, rtol=rtol, minlevel=4)
-    if np.any(res.status != 0):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+            and np.all(np.less_equal(a, b))):
+        raise ConfigError(f"{what}: limits must be finite with a <= b")
+    integral, error, status = _tanhsinh(f, a, b, args, rtol)
+    if np.any(status != 0):
         raise QuadratureError(
-            f"{what}: tanh-sinh status {res.status.tolist()}",
-            value=res.integral.sum(axis=0), estimate=res.error.sum(axis=0))
-    return res.integral.sum(axis=0), res.error.sum(axis=0) \
-        + rtol * np.abs(res.integral).sum(axis=0)
+            f"{what}: tanh-sinh status {status.tolist()}",
+            value=integral.sum(axis=0), estimate=error.sum(axis=0))
+    return integral.sum(axis=0), error.sum(axis=0) \
+        + rtol * np.abs(integral).sum(axis=0)
+
+
+def _ts_level(k):
+    """Level k's abscissa complements 1 - x_j and weights on (-1, 1): all
+    j at level 0, j = 0 at half weight, and the odd j above it."""
+    jh = (np.arange(9) if k == 0 else np.arange(1, 8 * 2 ** k + 1, 2)) \
+        * (_TS_H0 / 2 ** k)
+    u2 = np.pi / 2 * np.sinh(jh)
+    w = np.pi / 2 * np.cosh(jh) / np.cosh(u2) ** 2
+    w[0] /= 2 if k == 0 else 1
+    return 1 / (np.exp(u2) * np.cosh(u2)), w
+
+
+# the base step: 8 steps reach where 1 - x_j falls to 4 least normal
+# floats; then the pairs of levels 0 to 10, and where each level starts
+_TS_H0 = math.asinh(math.log(2 / (4 * np.finfo(float).tiny) - 1) / math.pi) / 8
+_TS_XJC, _TS_W = map(np.concatenate, zip(*map(_ts_level, range(11))))
+_TS_CUT = np.cumsum([0, 9] + [4 * 2 ** k for k in range(1, 11)])
+
+
+def _tanhsinh(f, a, b, args, rtol):
+    """(integral, error, status) of each piece, in the broadcast shape.
+
+    A port of scipy.integrate.tanhsinh (scipy 1.17.1, after Takahasi &
+    Mori, Publ. RIMS 9 (1974), with the error estimate of Bailey,
+    Jeyabalan & Li, Exp. Math. 14 (2005)) that gives its bits for finite
+    a <= b, real f, levels 4 to 10 and atol 0.  f gets (pieces, points)
+    arrays and args of shape (pieces, 1), and only the pieces not yet
+    converged go on to the next level.  A value that is not finite, or
+    whose weight is 0, is replaced by the value at the incumbent extreme
+    abscissa on its side.  Status 0 is converged, -2 not converged by
+    level 10, -3 a sum that is not finite or a NaN at the midpoint.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, (a, b, *args)))
+    a, b = (np.broadcast_to(np.asarray(v, float), shape).reshape(-1, 1)
+            for v in (a, b))
+    args = [np.broadcast_to(v, shape).reshape(-1, 1) for v in args]
+    eps = np.finfo(float).eps
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nan = np.isnan(np.asarray(f((a + b) / 2, *args), float)).reshape(-1)
+        val = np.where(nan, np.nan, 0.0)
+        err = val.copy()
+        status = np.where(a[:, 0] == b[:, 0], 0, np.where(nan, -3, -2))
+        act = np.flatnonzero(status == -2)
+        a, b, *args = (v[act] for v in (a, b, *args))
+        # per side (right, left): the extreme valid abscissa so far, as x
+        # and -x, with its value and weight; and the last two sums
+        inc = np.zeros((3, len(act), 2)) + [[[-np.inf]], [[np.nan]], [[0]]]
+        past = np.zeros((len(act), 2))
+        for level in range(4, 11):
+            if not len(act):
+                break
+            cut = slice(_TS_CUT[level] if level > 4 else 0, _TS_CUT[level + 1])
+            half = (b - a) / 2
+            x = np.concatenate((b - half * _TS_XJC[cut],
+                                a + half * _TS_XJC[cut]), axis=-1)
+            w = np.concatenate((_TS_W[cut] * half,) * 2, axis=-1)
+            w[(x <= a) | (x >= b)] = 0
+            fx = np.asarray(f(x, *args), float).reshape(len(act), 2, -1)
+            w = w.reshape(fx.shape)
+            bad = ~np.isfinite(fx) | (w == 0)
+            key = np.where(bad, -np.inf, x.reshape(fx.shape) * [[1], [-1]])
+            i = key.argmax(axis=-1)[..., None]
+            now = np.stack([np.take_along_axis(v, i, -1)[..., 0]
+                            for v in (key, fx, w)])
+            inc = np.where(now[0] > inc[0], now, inc)
+            fw = np.where(bad, inc[1, ..., None], fx) * w
+            h = _TS_H0 / 2 ** level
+            S = fw.reshape(len(act), -1).sum(axis=-1) * h
+            if level == 4:  # the sums of levels 3 and 2 from the same points
+                past = np.stack([fw[..., :_TS_CUT[k]].reshape(len(act), -1)
+                                 .sum(axis=-1) * (2 ** (5 - k) * h)
+                                 for k in (3, 4)], axis=-1)
+            else:
+                S = past[:, 1] / 2 + S
+            d1, d2 = np.abs(S - past[:, 1]), np.abs(S - past[:, 0])
+            ds = [np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0),
+                  d1 ** 2, eps * np.abs(fw).max(axis=(1, 2)),
+                  np.abs(inc[1] * inc[2]).max(axis=-1)]
+            aerr = np.clip(np.max(ds, axis=0), eps * np.abs(S), d1)
+            val[act], err[act] = S, aerr
+            status[act[aerr / np.abs(S) < rtol]] = 0
+            status[act[(status[act] == -2) & ~np.isfinite(S)]] = -3
+            go = status[act] == -2
+            act, a, b, *args = (v[go] for v in (act, a, b, *args))
+            inc, past = inc[:, go], np.stack([past[:, 1], S], axis=-1)[go]
+    return val.reshape(shape), err.reshape(shape), status.reshape(shape)
 
 
 def _increment(kernel: VolterraKernel, s, t, origin, y, rule):

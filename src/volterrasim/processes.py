@@ -17,7 +17,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft, special
+from scipy import special
 
 from . import csvtext
 from .errors import AlignmentError, ConfigError, FactorizationError, \
@@ -339,6 +339,22 @@ def _time_refinement(grid: GridSpec, substeps: int):
     return u, du, sgn
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length real FFTs factor fully.
+
+    It is the length scipy.fft.next_fast_len(n, real=True) gives.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        m = p5
+        while m < best:  # each 3^b 5^c, times the least power of 2 reaching n
+            best = min(best, m << (-(-n // m) - 1).bit_length())
+            m *= 3
+        p5 *= 5
+    return best
+
+
 class _ChaosProjection:
     """The map xi -> M = a xi of _chaos_weights, without forming a.
 
@@ -369,7 +385,7 @@ class _ChaosProjection:
         if n_near:
             top = (u[0] - e[n_far]) + du * np.arange(-self.D, len(u))
             h = _cell_weights(top, top - du, du, g)
-            self.L = fft.next_fast_len(len(h), real=True)
+            self.L = _fast_len(len(h))
             self.h_hat = np.fft.rfft(h, self.L)
             # row k of the block holds h[k + D], ..., h[k]; h[q < k]
             # would be cells above the grid's top edge >= t_max > u_k,

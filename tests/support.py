@@ -1,8 +1,9 @@
-"""Helpers that only the tests use: phi's dispatcher and a CSV reader."""
+"""Helpers that only the tests use: phi's dispatcher, a CSV reader and two
+generic kernels."""
 
 import numpy as np
 
-from volterrasim.kernels import VolterraKernel, phi_quadrature
+from volterrasim.kernels import FbmKernel, VolterraKernel, phi_quadrature
 from volterrasim.processes import Ensemble, GridSpec
 
 
@@ -22,3 +23,29 @@ def ensemble_from_csv(path) -> Ensemble:
     times = data[:, 0]
     grid = GridSpec(float(times[0]), float(times[-1]), len(times))
     return Ensemble(grid, data[:, 1:])
+
+
+def generic_fbm_clone(H):
+    """The fBm kernel wrapped as a generic kernel with no closed forms."""
+    base = FbmKernel(H)
+    return VolterraKernel(alpha=base.alpha, eval=base.eval, deriv=base.deriv,
+                          regularity_const=base.regularity_const)
+
+
+TEMPERED_ALPHA = 0.2
+
+
+def tempered_kernel():
+    """K(t, r) = (t - r)^alpha e^-(t - r): regular, but not fBm."""
+    a = TEMPERED_ALPHA
+
+    def k_eval(t, r):
+        d = np.maximum(np.asarray(t - r, float), 0.0)
+        return d ** a * np.exp(-d)
+
+    def k_deriv(u, r):
+        w = u - r
+        return np.exp(-w) * w ** (a - 1.0) * (a - w)
+
+    return VolterraKernel(alpha=a, eval=k_eval, deriv=k_deriv,
+                          regularity_const=0.31)

@@ -68,6 +68,11 @@ class TestJClosedForm:
         with pytest.raises(ValueError):
             j_closed_form(0.6, 0.7)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused(self, beta):
+        with pytest.raises(ConfigError, match="beta must be finite"):
+            j_closed_form(beta, 0.7)
+
     @pytest.mark.filterwarnings("error", category=IntegrationWarning)
     @pytest.mark.parametrize("H", [0.6, 0.75, 0.9])
     def test_continuous_through_log_case(self, H):
@@ -171,6 +176,11 @@ class TestShiftTraceCriterion:
         # the fBm-driven one does not
         out = shift_trace_criterion(1.1, 0.7)
         assert out["wiener_exists"] and not out["exists"]
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_refused(self, beta):
+        with pytest.raises(ConfigError, match="beta must be finite"):
+            shift_trace_criterion(beta, 0.7)
 
     def test_beta_at_most_H_is_divergent(self):
         # below beta = H the closed form does not apply

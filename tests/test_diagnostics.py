@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from volterrasim import diagnostics
 from volterrasim.diagnostics import energy_statistic, energy_two_sample
+from volterrasim.errors import ConfigError
 from volterrasim.rng import substream
 
 
@@ -121,6 +122,16 @@ class TestEnergyStatistic:
         X, Y = gauss_pair
         with pytest.raises(ValueError, match="samples must share dimension"):
             test(X, Y[:, :1])
+
+    @pytest.mark.parametrize("test", [energy_statistic, energy_two_sample])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_refused(self, gauss_pair, test, bad):
+        X, Y = gauss_pair
+        holed = X.copy()
+        holed[3, 0] = bad
+        for pair in ((holed, Y), (Y, holed)):
+            with pytest.raises(ConfigError, match="samples must be finite"):
+                test(*pair)
 
 
 class TestEnergyTwoSample:

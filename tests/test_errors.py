@@ -142,13 +142,31 @@ def test_each_site_checks_with_its_tolerances(monkeypatch, site, module,
             assert estimate == want_estimate
 
 
+def _fresh_stdout(code):
+    """Standard output of code run by a fresh interpreter on src/."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_light_modules_load_no_scipy():
     # the package root imports nothing, so these modules load alone
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = ("import sys, volterrasim.errors, volterrasim.rng, "
             "volterrasim.csvtext\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
-    assert res.stdout.strip() == "[]"
+    assert _fresh_stdout(code).strip() == "[]"
+
+
+def test_package_loads_no_scipy_integrate_optimize_or_fft():
+    # the package integrates and sizes its FFTs itself
+    code = ("import importlib, pkgutil, sys, volterrasim\n"
+            "for m in pkgutil.iter_modules(volterrasim.__path__):\n"
+            "    importlib.import_module('volterrasim.' + m.name)\n"
+            "print(sum(m.startswith('volterrasim.') for m in sys.modules))\n"
+            "print([m for m in sys.modules if m.split('.')[:2] in\n"
+            "       (['scipy', 'integrate'], ['scipy', 'optimize'], "
+            "['scipy', 'fft'])])")
+    loaded, unwanted = _fresh_stdout(code).splitlines()
+    assert int(loaded) >= 11  # every module of the package
+    assert unwanted == "[]"

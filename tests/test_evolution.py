@@ -218,6 +218,22 @@ class TestCovarianceOracles:
         with pytest.raises(ValueError):
             covariance_g(unit_spec(), -1.0, 1.0)
 
+    @pytest.mark.parametrize("r, s", [(math.nan, 1.0), (1.0, math.nan),
+                                      (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_time_refused_before_quadrature(self, monkeypatch,
+                                                       r, s):
+        def never(*args, **kwargs):
+            raise AssertionError("quadrature reached")
+
+        monkeypatch.setattr(evolution, "tanhsinh_sum", never)
+        with pytest.raises(ConfigError, match="need finite r, s >= 0"):
+            covariance_g(unit_spec(), r, s)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_qt_at_non_finite_time_refused(self, t):
+        with pytest.raises(ConfigError, match="need finite r, s >= 0"):
+            covariance_qt(unit_spec(), t)
+
 
 class TestAgainstQuadOracles:
     """The tanh-sinh routes against the adaptive quad routes they replaced."""

@@ -18,7 +18,7 @@ from volterrasim.kernels import (
     phi_quadrature,
 )
 
-from support import phi
+from support import generic_fbm_clone, phi, tempered_kernel
 
 
 def test_normalizing_constant_identity():
@@ -69,7 +69,7 @@ def test_phi_quadrature_wide_range(H):
 
 
 def test_phi_quadrature_arrays_broadcast():
-    k = _generic_fbm_clone(0.7)
+    k = generic_fbm_clone(0.7)
     u = np.array([[0.0], [2.0]])
     v = np.array([1.0, -0.5, 3.0])
     quad = phi_quadrature(k, u, v)
@@ -103,19 +103,12 @@ def test_phi_quadrature_needs_no_scalar_quad(monkeypatch):
     assert phi_quadrature(fbm, u, v) == pytest.approx(
         fbm.phi_closed_form(u, v), rel=1e-13)
     assert np.all(np.isfinite(phi_quadrature(
-        _tempered_kernel(), [0.00169, 0.004], [4.6179, 3.2])))
-
-
-def _generic_fbm_clone(H):
-    """The fBm kernel wrapped as a generic kernel with no closed forms."""
-    base = FbmKernel(H)
-    return VolterraKernel(alpha=base.alpha, eval=base.eval, deriv=base.deriv,
-                          regularity_const=base.regularity_const)
+        tempered_kernel(), [0.00169, 0.004], [4.6179, 3.2])))
 
 
 def test_generic_kernel_falls_back_to_quadrature():
     H = 0.7
-    generic = _generic_fbm_clone(H)
+    generic = generic_fbm_clone(H)
     closed = FbmKernel(H)
     assert generic.phi_closed_form(1.0, 2.0) is None
     assert phi(generic, 1.0, 2.0) == pytest.approx(
@@ -146,7 +139,7 @@ def test_cov_R_quadrature_handles_swapped_intervals():
 
 
 def test_cov_R_quadrature_square_on_the_diagonal():
-    generic = _generic_fbm_clone(0.7)
+    generic = generic_fbm_clone(0.7)
     assert cov_R_quadrature(generic, 0.0, 0.5, 0.0, 0.5) == pytest.approx(
         fbm_cov(0.0, 0.5, 0.0, 0.5, 0.7), rel=1e-8)
 
@@ -179,7 +172,7 @@ def test_cov_R_quadrature_generic_error_is_bounded_by_its_estimate(
     for H, *rect in _generic_rectangles():
         exact = float(fbm_cov(*np.array(rect, np.longdouble),
                               np.longdouble(H)))
-        value = cov_R_quadrature(_generic_fbm_clone(H), *rect)
+        value = cov_R_quadrature(generic_fbm_clone(H), *rect)
         error = abs(value - exact)
         assert error <= 1e-10 * abs(exact)
         assert estimates.pop() >= error
@@ -191,7 +184,7 @@ def test_cov_R_quadrature_far_from_the_origin():
     # 6 of their 16 digits, and tanh-sinh no longer converges on it
     rect = 5000.0 + np.array([0.0712, 0.6532, 0.0731, 0.276])
     exact = float(fbm_cov(*rect.astype(np.longdouble), np.longdouble(0.51)))
-    value = cov_R_quadrature(_generic_fbm_clone(0.51), *rect)
+    value = cov_R_quadrature(generic_fbm_clone(0.51), *rect)
     assert value == pytest.approx(exact, rel=1e-13)
 
 
@@ -217,25 +210,6 @@ def test_cov_R_quadrature_refuses_a_nan_integrand():
         cov_R_quadrature(holed, 0.0, 1.0, 0.0, 1.0)
 
 
-TEMPERED_ALPHA = 0.2
-
-
-def _tempered_kernel():
-    """K(t, r) = (t - r)^alpha e^-(t - r): regular, but not fBm."""
-    a = TEMPERED_ALPHA
-
-    def k_eval(t, r):
-        d = np.maximum(np.asarray(t - r, float), 0.0)
-        return d ** a * np.exp(-d)
-
-    def k_deriv(u, r):
-        w = u - r
-        return np.exp(-w) * w ** (a - 1.0) * (a - w)
-
-    return VolterraKernel(alpha=a, eval=k_eval, deriv=k_deriv,
-                          regularity_const=0.31)
-
-
 def _kstar_norm_sq(kernel, breakpoints, values):
     return _kstar_l2_sq(kernel, StepFunction(breakpoints, values))
 
@@ -243,11 +217,11 @@ def _kstar_norm_sq(kernel, breakpoints, values):
 def test_tempered_kernel_is_regular():
     pairs = [(r + d, r) for r in (-2.0, 0.0, 3.0)
              for d in np.geomspace(1e-6, 50.0, 40)]
-    assert check_regularity(_tempered_kernel(), pairs)["passed"]
+    assert check_regularity(tempered_kernel(), pairs)["passed"]
 
 
 def test_cov_R_quadrature_tempered_variance_matches_kstar():
-    k = _tempered_kernel()
+    k = tempered_kernel()
     assert cov_R_quadrature(k, 0.0, 1.0, 0.0, 1.0) == pytest.approx(
         _kstar_norm_sq(k, [0.0, 1.0], [[1.0]]), rel=1e-8)
 
@@ -256,7 +230,7 @@ def test_cov_R_quadrature_tempered_variance_matches_kstar():
                                   (-1.0, 0.0, 0.0, 1.0)])
 def test_cov_R_quadrature_tempered_matches_kstar_polarization(rect):
     # R(A, B) = (|1_A + 1_B|^2 - |1_A|^2 - |1_B|^2) / 2 in the K* norm
-    k = _tempered_kernel()
+    k = tempered_kernel()
     s1, t1, s2, t2 = rect
     bp = sorted({s1, t1, s2, t2})
     both = [[(s1 <= lo < t1) + (s2 <= lo < t2)] for lo in bp[:-1]]
@@ -270,7 +244,7 @@ def test_cov_R_quadrature_tempered_matches_kstar_polarization(rect):
 def test_cov_R_quadrature_tempered_far_apart(nu, nv):
     # the intervals are disjoint, so phi is smooth on the rectangle and a
     # fixed Gauss rule over phi_quadrature is a reference
-    k = _tempered_kernel()
+    k = tempered_kernel()
     xu, wu = np.polynomial.legendre.leggauss(nu)
     xv, wv = np.polynomial.legendre.leggauss(nv)
     u, v = 0.005 * (xu + 1.0), 4.0 + xv

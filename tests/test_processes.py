@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import fft, stats
 
 from volterrasim import processes
 from volterrasim.diagnostics import energy_two_sample
@@ -526,3 +526,8 @@ def test_increment_reflexivity_fbm(fbm_ensemble):
     base = _increments(fbm_ensemble, intervals, half)
     other = _increments(fbm_ensemble, [(-t, -s) for s, t in intervals], rest)
     assert energy_two_sample(base, other, seed=18).passed
+
+
+def test_fast_len_is_scipys_next_fast_len():
+    assert [processes._fast_len(n) for n in range(1, 20000)] == \
+        [fft.next_fast_len(n, real=True) for n in range(1, 20000)]
