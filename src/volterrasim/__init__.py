@@ -15,7 +15,7 @@ Submodules:
   equation admissibility).
 - suites: the named verification suites behind `volterrasim verify`.
 - errors: the package's exception types and its shared checks (the
-  Hurst range, quadrature error estimates).
+  Hurst range, finiteness, counts, quadrature error estimates).
 - cli: the `volterrasim` command-line tool.
 """
 

@@ -37,8 +37,8 @@ def parse_grid(text: str) -> GridSpec:
         t_min, t_max, n_points = text.split(":")
         parts = float(t_min), float(t_max), int(n_points)
     except ValueError:
-        raise ValueError(f"grid must be t_min:t_max:n_points, "
-                         f"got {text!r}") from None
+        raise ConfigError(f"grid must be t_min:t_max:n_points, "
+                          f"got {text!r}") from None
     return GridSpec(*parts)
 
 
@@ -163,15 +163,10 @@ def cmd_simulate(args) -> int:
         RosenblattScheme.for_grid(sim_grid, args.H, args.tail_tol,
                                   args.substeps)
     csv_path, manifest_path = out_paths(args, "ensemble.csv", "manifest.txt")
-    workers = args.workers
-    chunk = -(-args.paths // workers)  # ceil division
-    jobs = []
-    offset = 0
-    while offset < args.paths:
-        n_block = min(chunk, args.paths - offset)
-        jobs.append((args.process, grid, args.H, n_block, args.seed,
-                     args.stream, offset, args.tail_tol, args.substeps))
-        offset += n_block
+    chunk = -(-args.paths // args.workers)  # ceil division
+    jobs = [(args.process, grid, args.H, min(chunk, args.paths - offset),
+             args.seed, args.stream, offset, args.tail_tol, args.substeps)
+            for offset in range(0, args.paths, chunk)]
     # path identity depends only on (seed, stream, path index), and the
     # text of a value is the same in every process, so the CSV is
     # independent of the split
@@ -185,7 +180,7 @@ def cmd_simulate(args) -> int:
         with tempfile.TemporaryDirectory(prefix=".parts-", dir=args.out) as tmp:
             parts = [os.path.join(tmp, str(k)) for k in range(len(jobs))]
             # the pool starts all its processes at once, so none beyond the jobs
-            with simulate_pool(min(workers, len(jobs))) as pool:
+            with simulate_pool(min(args.workers, len(jobs))) as pool:
                 lengths = list(pool.map(_simulate_block, [
                     job + (part,) for job, part in zip(jobs, parts)]))
             write_csv(csv_path, grid, args.paths,
@@ -213,23 +208,11 @@ def cmd_verify(args) -> int:
     stochastic = args.suite not in ("kernel", "criteria")
     if stochastic and args.seed is None:
         raise ConfigError("--seed is required for stochastic suites")
-    seed = 0 if args.seed is None else args.seed
     if args.out:
         report, manifest_path = out_paths(args, f"verify_{args.suite}.txt",
                                           "manifest.txt")
-    if args.suite == "kernel":
-        ok, lines = suites.suite_kernel()
-    elif args.suite == "isometry":
-        ok, lines = suites.suite_isometry(args.H, args.paths, seed)
-    elif args.suite == "law-symmetry":
-        ok, lines = suites.suite_law_symmetry(args.H, args.paths, seed)
-    elif args.suite == "stationarity":
-        ok, lines = suites.suite_stationarity(args.H, args.paths, seed,
-                                              x0=args.x0)
-    elif args.suite == "limit":
-        ok, lines = suites.suite_limit(args.H, args.paths, seed)
-    else:
-        ok, lines = suites.suite_criteria()
+    run = getattr(suites, suites.SUITES[args.suite])
+    ok, lines = run(args.H, args.paths, args.seed) if stochastic else run()
     for line in lines:
         print(line)
     if args.out:
@@ -238,8 +221,7 @@ def cmd_verify(args) -> int:
         # the deterministic suites read none of the run parameters
         params = {"suite": args.suite}
         if stochastic:
-            params.update(H=repr(args.H), paths=args.paths, seed=args.seed,
-                          x0=args.x0)
+            params.update(H=repr(args.H), paths=args.paths, seed=args.seed)
         write_manifest(manifest_path, "verify", params)
     print("suite result:", "pass" if ok else "FAIL")
     return 0 if ok else 1
@@ -279,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--H", type=float, default=0.7)
     ver.add_argument("--paths", type=positive_int, default=600)
     ver.add_argument("--seed", type=nonnegative_int, default=None)
-    ver.add_argument("--x0", choices=("x-infinity",), default="x-infinity",
-                     help="initial condition for the stationarity suite")
     ver.add_argument("--out", default=None, help="report directory")
     ver.add_argument("--force", action="store_true")
     ver.set_defaults(func=cmd_verify)
@@ -302,12 +282,9 @@ def _join_grid_flag(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_grid_flag(list(argv))
+    argv = _join_grid_flag(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors already
         return int(exc.code or 0)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, check_estimate, check_hurst
+from .errors import ConfigError, _check_count, check_estimate, check_finite, \
+    check_hurst
 from .kernels import gauss_legendre
 
 DIVERGENT = math.inf
@@ -34,13 +35,13 @@ def j_closed_form(beta: float, H: float) -> float:
     positive terms, so it integrates term by term; with
     (2H)_k / (2H - 1 + k) = (2H - 1)_k / (2H - 1) the z integral is
     2F1(b, 2H - 1; 2b; 1) / (2H - 1), a Gauss sum since
-    c - a - b = b - 2H + 1 > 1/2.  A beta that is not finite raises
-    ConfigError.
+    c - a - b = b - 2H + 1 > 1/2.  A beta that is not finite or not
+    above H, and an H outside (1/2, 1), raise ConfigError.
     """
-    if not math.isfinite(beta):
-        raise ConfigError(f"beta must be finite, got {beta}")
+    check_finite("beta", beta)
+    check_hurst(H)
     if beta <= H:
-        raise ValueError(
+        raise ConfigError(
             "closed form requires beta > H; use j_quadrature below that")
     if beta <= H + 0.5:
         return DIVERGENT
@@ -144,10 +145,10 @@ def j_quadrature(beta: float, H: float,
     a non-finite beta and a truncation that is not finite or below 1
     raise ConfigError.
     """
-    if not (math.isfinite(beta) and beta > 0.5):
+    if not 0.5 < beta < math.inf:
         raise ConfigError(f"beta must be finite and exceed 1/2, got {beta}")
     check_hurst(H)
-    if not (math.isfinite(truncation) and truncation >= 1.0):
+    if not 1.0 <= truncation < math.inf:
         raise ConfigError(
             f"truncation must be finite and at least 1, got {truncation}")
     fine, coarse = J_ORDERS
@@ -176,7 +177,7 @@ def shift_trace_criterion(beta: float, H: float) -> dict:
     square-integrability of phi(xi + r), i.e. beta > 1.
     sup_t Tr q_t = H (2H - 1) J(beta, H).
     """
-    if not (math.isfinite(beta) and beta > 0.5):
+    if not 0.5 < beta < math.inf:
         raise ConfigError(f"beta must be finite and exceed 1/2, got {beta}")
     check_hurst(H)
     # the 2F1 reduction needs beta > H; below it J diverges too
@@ -190,9 +191,10 @@ def shift_trace_criterion(beta: float, H: float) -> dict:
 
 def hs_heat_norm_sq(d: int, r) -> np.ndarray:
     """|S(r)|_HS^2 = (sum_{k>=1} exp(-2 pi^2 k^2 r))^d on the unit box."""
+    _check_count("d", d)
     r = np.atleast_1d(np.asarray(r, float))
-    if np.any(r <= 0):
-        raise ValueError("need r > 0")
+    if not np.all((r > 0.0) & (r < np.inf)):
+        raise ConfigError("need finite r > 0")
     # k beyond the cutoff contributes < 1e-18 relative at the smallest r
     k_max = int(math.ceil(math.sqrt(45.0 / (2.0 * math.pi ** 2 * r.min())))) + 2
     k = np.arange(1, k_max + 1)
@@ -221,7 +223,7 @@ def heat_admissibility(d: int, H: float) -> dict:
     dimensions has lambda_n = pi^2 |n|^2; the exponent is fitted once per d.
     """
     if d not in (1, 2, 3):
-        raise ValueError(f"d must be 1, 2 or 3, got {d}")
+        raise ConfigError(f"d must be 1, 2 or 3, got {d}")
     check_hurst(H)
     slope = _hs_decay_exponent(d)
     return {

@@ -24,6 +24,8 @@ by row of the array.
 
 import numpy as np
 
+from .errors import ConfigError
+
 CHUNK = 8192  # values formatted at a time, rounded to whole rows
 EPS = 1e-9  # decisions closer than this to a bound or a tie go to repr
 
@@ -177,7 +179,7 @@ def format_rows(values):
     """
     values = np.asarray(values, float)
     if values.ndim != 2:
-        raise ValueError(f"CSV rows need a 2-D array, got shape {values.shape}")
+        raise ConfigError(f"CSV rows need a 2-D array, got shape {values.shape}")
     return _rows(values)
 
 

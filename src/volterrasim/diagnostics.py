@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_count, check_finite
 from .rng import substream
 
 ROW_BLOCK = 128  # distance-matrix rows made and used together
@@ -47,10 +47,9 @@ def _stack(X, Y):
     X = np.atleast_2d(np.asarray(X, float))
     Y = np.atleast_2d(np.asarray(Y, float))
     if X.shape[1] != Y.shape[1]:
-        raise ValueError("samples must share dimension")
+        raise ConfigError("samples must share dimension")
     Z = np.vstack([X, Y])
-    if not np.all(np.isfinite(Z)):
-        raise ConfigError("samples must be finite")
+    check_finite("samples", Z)
     return Z, len(X)
 
 
@@ -97,14 +96,13 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
     of every labelling (see _energy_columns).  The p-value counts the
     shuffles whose statistic reaches the observed one.
     """
-    if n_perm < 1:
-        raise ValueError("need n_perm >= 1")
+    _check_count("n_perm", n_perm)
     if not 0.0 < level < 1.0:
-        raise ValueError("need 0 < level < 1")
+        raise ConfigError("need 0 < level < 1")
     Z, nx = _stack(X, Y)
     ny = len(Z) - nx
     if min(nx, ny) < 50:
-        raise ValueError("need at least 50 observations per sample")
+        raise ConfigError("need at least 50 observations per sample")
     if (Z == Z[0]).all():
         # both samples the same constant: laws trivially equal
         return TwoSampleReport(0.0, 1.0, n_perm, level)

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the checks that raise them."""
+"""Exception types shared across the package, and the checks that raise them:
+every refusal of a caller's value is a ConfigError, also a ValueError."""
 
 import numpy as np
 
@@ -44,6 +45,20 @@ def check_hurst(H) -> None:
     """ConfigError unless H lies in (1/2, 1), where alpha = H - 1/2 is regular."""
     if not 0.5 < H < 1.0:
         raise ConfigError(f"H must lie in (1/2, 1), got {H}")
+
+
+def check_finite(what: str, *values) -> None:
+    """ConfigError unless every value, scalar or array, is finite."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ConfigError(f"{what} must be finite")
+
+
+def _check_count(what: str, n, least: int = 1) -> int:
+    """n as an int; ConfigError unless it is an integer >= least."""
+    if not isinstance(n, (int, np.integer)) or n < least:
+        kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+        raise ConfigError(f"{what} must be {kind}, got {n!r}")
+    return int(n)
 
 
 def check_estimate(what: str, value, estimate, rtol: float,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_estimate, check_hurst
+from .errors import ConfigError, _check_count, check_estimate, check_finite, \
+    check_hurst
 from .kernels import tanhsinh_sum
 from .processes import PROCESSES, Ensemble, GridSpec, _blocks
 
@@ -65,8 +66,7 @@ class EquationSpec:
         if Phi.shape != (len(lam), self.noise.n_components):
             raise ConfigError(
                 f"Phi must be {len(lam)}x{self.noise.n_components}, got {Phi.shape}")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(Phi))):
-            raise ConfigError("lambdas and Phi must be finite")
+        check_finite("lambdas and Phi", lam, Phi)
         if np.any(lam < 0) or (np.any(lam == 0) and not self.allow_unstable):
             raise ConfigError(
                 "lambdas must be positive (set allow_unstable for zero modes)")
@@ -77,16 +77,14 @@ class EquationSpec:
         if self.x0 is None or (isinstance(self.x0, str)
                                and self.x0 == "x-infinity"):
             return
-        bad = ConfigError(f"x0 must be None, 'x-infinity' or {len(lam)} "
-                          f"finite values, got {self.x0!r}")
-        if isinstance(self.x0, str):
-            raise bad
         try:
             x0 = np.atleast_1d(np.array(self.x0, float))
-        except (TypeError, ValueError):
-            raise bad from None
-        if x0.shape != (len(lam),) or not np.all(np.isfinite(x0)):
-            raise bad
+            check_finite("x0", x0)
+        except (TypeError, ValueError):  # ConfigError is a ValueError
+            x0 = None
+        if isinstance(self.x0, str) or x0 is None or x0.shape != (len(lam),):
+            raise ConfigError(f"x0 must be None, 'x-infinity' or {len(lam)} "
+                              f"finite values, got {self.x0!r}")
         x0.setflags(write=False)
         object.__setattr__(self, "x0", x0)
 
@@ -129,7 +127,7 @@ def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
     Phi = spec.phi_matrix
     last = {n: row.nonzero()[0][-1] for n, row in enumerate(Phi) if row.any()}
     weights = {}
-    out = np.zeros((len(times), spec.n_modes, n_paths))
+    out = np.zeros((len(times), spec.n_modes, _check_count("n_paths", n_paths)))
     for k, fam in enumerate(spec.noise.families):
         driven = Phi[:, k].nonzero()[0]
         weights |= {n: _exp_cell_averages(spec.lambdas[n], times, grid.times)
@@ -145,7 +143,7 @@ def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
 
 def _past_steps(t_trunc: float, dt: float) -> int:
     """Whole steps of dt in the truncated past [-t_trunc, 0]."""
-    if not (math.isfinite(t_trunc) and 0.0 < dt <= t_trunc):  # nan fails
+    if not 0.0 < dt <= t_trunc < math.inf:  # nan fails
         raise ConfigError(f"need a finite t_trunc and 0 < dt <= t_trunc, "
                           f"got t_trunc={t_trunc}, dt={dt}")
     return int(round(t_trunc / dt))

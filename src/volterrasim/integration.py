@@ -11,7 +11,8 @@ insists they agree.
 import numpy as np
 
 from .diagnostics import energy_two_sample
-from .errors import AlignmentError, ConsistencyError, check_estimate
+from .errors import AlignmentError, ConfigError, ConsistencyError, \
+    _check_count, check_estimate, check_finite
 from .kernels import VolterraKernel, cov_R, gauss_legendre, tanhsinh_sum
 from .processes import Ensemble
 
@@ -27,12 +28,11 @@ class StepFunction:
         vals = np.atleast_2d(np.asarray(values, float))
         if vals.shape[0] == 1 and len(bp) - 1 != 1:
             vals = vals.reshape(len(bp) - 1, -1)
+        check_finite("breakpoints and step values", bp, vals)
         if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise ConfigError("breakpoints must be strictly increasing")
         if vals.shape[0] != len(bp) - 1:
-            raise ValueError("need one value per interval")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("step values must be finite")
+            raise ConfigError("need one value per interval")
         self.breakpoints = bp
         self.values = vals
 
@@ -171,7 +171,7 @@ def _cell_averages(fn, edges: np.ndarray) -> np.ndarray:
     bad = ~np.all(np.isfinite(fx), axis=(0, 2))
     if np.any(bad):
         j = np.argmax(bad)
-        raise ValueError(f"integrand not finite on [{a[j, 0]}, {b[j, 0]}]")
+        raise ConfigError(f"integrand not finite on [{a[j, 0]}, {b[j, 0]}]")
     # one (8,) @ (8, dim) product per cell, as a loop over the cells makes
     return np.matmul(0.5 * _GL_WEIGHTS, np.ascontiguousarray(
         np.moveaxis(fx, 0, -1)))
@@ -182,11 +182,11 @@ def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndar
 
     fn is called once, on an array of nodes (see _cell_averages).
     """
-    if not s < t:
-        raise ValueError("need s < t")
+    if not -np.inf < s < t < np.inf:
+        raise ConfigError("need finite s < t")
     grid = paths.grid
     n_cells = max(1, int(round((t - s) / grid.dt)))
-    n_sub = min(n_sub, n_cells)
+    n_sub = min(_check_count("n_sub", n_sub), n_cells)
     # align sub-cell edges with the path grid so increments are exact
     per = max(1, n_cells // n_sub)
     edges = [s + grid.dt * per * j for j in range(n_cells // per)] + [t]
@@ -206,9 +206,10 @@ def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
     tests compare independent samples.  The level 0.01 is
     Bonferroni-corrected across the three pairs.
     """
+    _check_count("seed", seed, 0)
     grid = ensemble.grid
     if grid.t_min > -t or grid.t_max < t:
-        raise ValueError("ensemble grid must cover [-t, t]")
+        raise ConfigError("ensemble grid must cover [-t, t]")
     n = ensemble.n_paths
     thirds = [slice(0, n // 3), slice(n // 3, 2 * n // 3), slice(2 * n // 3, n)]
 

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .errors import ConfigError, QuadratureError, check_estimate, check_hurst
+from .errors import ConfigError, QuadratureError, _check_count, \
+    check_estimate, check_finite, check_hurst
 
 # tanh-sinh's stopping tolerance in cov_R_quadrature, its default.  The
 # estimate it stops on is a heuristic, so rtol times the summed |pieces|
@@ -54,9 +55,9 @@ class VolterraKernel:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 1/2), got {self.alpha}")
-        if self.regularity_const <= 0:
-            raise ValueError("regularity_const must be positive")
+            raise ConfigError(f"alpha must lie in (0, 1/2), got {self.alpha}")
+        if not 0.0 < self.regularity_const < math.inf:
+            raise ConfigError("regularity_const must be positive and finite")
 
     def phi_closed_form(self, u, v):
         """Closed form of phi if the kernel has one, else None."""
@@ -68,6 +69,7 @@ class VolterraKernel:
 
 def fbm_normalizing_constant(H: float) -> float:
     """C_H with E(W_1^H)^2 = 1."""
+    check_hurst(H)
     B = special.beta(H - 0.5, 2.0 - 2.0 * H)
     return math.sqrt(2.0 * H / ((H - 0.5) * B))
 
@@ -80,7 +82,6 @@ class FbmKernel(VolterraKernel):
     """
 
     def __init__(self, H: float):
-        check_hurst(H)
         C_H = fbm_normalizing_constant(H)
         c_H = C_H * (H - 0.5)
         object.__setattr__(self, "H", H)
@@ -110,6 +111,7 @@ class FbmKernel(VolterraKernel):
 
 def fbm_cov(s1, t1, s2, t2, H: float):
     """E (b_t1 - b_s1)(b_t2 - b_s2) of two-sided fBm; scalars or arrays."""
+    check_hurst(H)
     H2 = 2.0 * H
     return 0.5 * (
         abs(t1 - s2) ** H2
@@ -140,7 +142,7 @@ def phi_quadrature(kernel: VolterraKernel, u, v):
     """
     u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
     if np.any(u == v):
-        raise ValueError("phi is defined off the diagonal only (u != v)")
+        raise ConfigError("phi is defined off the diagonal only (u != v)")
     lo, hi = np.minimum(u, v).ravel(), np.maximum(u, v).ravel()
     gap = hi - lo
     r_ref = np.minimum(lo - 1e-15 * gap, np.nextafter(lo, -np.inf))
@@ -186,6 +188,7 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
     rule and a term for what the estimate misses (COV_R_RTOL).  A swapped
     interval (t < s) contributes with sign.
     """
+    check_finite("cov_R's ends", s1, t1, s2, t2)
     sign = 1.0
     if t1 < s1:
         s1, t1, sign = t1, s1, -sign
@@ -237,7 +240,7 @@ def cov_R_quadrature(kernel: VolterraKernel, s1, t1, s2, t2) -> float:
 @functools.cache
 def gauss_legendre(order: int):
     """Read-only Gauss-Legendre (nodes, weights) on (-1, 1), built once per order."""
-    rule = np.polynomial.legendre.leggauss(order)
+    rule = np.polynomial.legendre.leggauss(_check_count("order", order))
     for a in rule:
         a.setflags(write=False)
     return rule
@@ -256,9 +259,11 @@ def tanhsinh_sum(what, f, a, b, args=(), rtol=COV_R_RTOL):
     is added to it (see COV_R_RTOL).  The engine, _tanhsinh, is a port of
     scipy.integrate.tanhsinh that gives its bits.
     """
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-            and np.all(np.less_equal(a, b))):
+    if not np.all(np.less(-np.inf, a) & np.less_equal(a, b)
+                  & np.less(b, np.inf)):
         raise ConfigError(f"{what}: limits must be finite with a <= b")
+    if not 0.0 < rtol < np.inf:
+        raise ConfigError(f"{what}: rtol must be positive and finite")
     integral, error, status = _tanhsinh(f, a, b, args, rtol)
     if np.any(status != 0):
         raise QuadratureError(
@@ -385,14 +390,14 @@ def _increment(kernel: VolterraKernel, s, t, origin, y, rule):
 def check_regularity(kernel: VolterraKernel, pairs) -> dict:
     """Check |dK/du(u, r)| <= regularity_const * (u - r)^(alpha - 1) on a grid.
 
-    pairs: iterable of (u, r) with u > r; a pair with u <= r raises
-    ValueError.  Returns a report dict with the worst ratio and a pass
+    pairs: iterable of finite (u, r) with u > r; another pair raises
+    ConfigError.  Returns a report dict with the worst ratio and a pass
     flag.
     """
     worst = 0.0
     for u, r in pairs:
-        if u <= r:
-            raise ValueError(f"need u > r, got {(u, r)}")
+        if not -math.inf < r < u < math.inf:
+            raise ConfigError(f"need finite u > r, got {(u, r)}")
         worst = max(worst, abs(kernel.deriv(u, r))
                     * (u - r) ** (1.0 - kernel.alpha))
     return {

@@ -13,7 +13,6 @@ bytes repr gives (csvtext).
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from scipy import special
 
 from . import csvtext
 from .errors import AlignmentError, ConfigError, FactorizationError, \
-    check_estimate, check_hurst
+    _check_count, check_estimate, check_finite, check_hurst
 from .kernels import fbm_cov
 from .rng import normal_matrix
 
@@ -38,16 +37,13 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
-        if not math.isfinite(float(self.t_max) - float(self.t_min)):
-            raise ValueError("the grid's ends and step must be finite, got "
-                             f"t_min={self.t_min}, t_max={self.t_max}")
+        check_finite("the grid's ends and step", self.t_max - self.t_min)
         if not self.t_min < self.t_max:
-            raise ValueError("need t_min < t_max")
-        if self.n_points < 2:
-            raise ValueError("need at least two grid points")
+            raise ConfigError("need t_min < t_max")
+        _check_count("n_points", self.n_points, 2)
         if self.t_min <= 0.0 <= self.t_max:
             if not np.isclose(self.times, 0.0, atol=1e-12).any():
-                raise ValueError("grid spanning 0 must contain t = 0 exactly")
+                raise ConfigError("grid spanning 0 must contain t = 0 exactly")
 
     @property
     def dt(self) -> float:
@@ -62,6 +58,7 @@ class GridSpec:
 
     def index_of(self, t: float) -> int:
         """Nearest grid index; error if farther than dt/2 (plus slack)."""
+        check_finite("time", t)
         i = int(round((t - self.t_min) / self.dt))
         i = min(max(i, 0), self.n_points - 1)
         t_i = self.t_min + self.dt * i  # times[i], without building times
@@ -88,7 +85,7 @@ class Ensemble:
         if self.values.ndim == 1:
             self.values = self.values[:, None]
         if self.values.shape[0] != self.grid.n_points:
-            raise ValueError("values rows must match grid points")
+            raise ConfigError("values rows must match grid points")
         # a read-only view: the caller's array stays writable
         self.values = self.values.view()
         self.values.setflags(write=False)
@@ -202,7 +199,7 @@ def _fbm_blocks(grid, H, n_paths, seed, stream, path_offset):
 
 def _collect(grid: GridSpec, n_paths: int, blocks) -> Ensemble:
     """The ensemble whose path columns blocks yields as (first path, values)."""
-    values = np.empty((grid.n_points, n_paths))
+    values = np.empty((grid.n_points, _check_count("n_paths", n_paths)))
     for p0, block in blocks:
         values[:, p0:p0 + block.shape[1]] = block
     return Ensemble(grid, values)
@@ -213,6 +210,7 @@ def _collect(grid: GridSpec, n_paths: int, blocks) -> Ensemble:
 # ---------------------------------------------------------------------------
 
 def rosenblatt_sigma(H: float) -> float:
+    check_hurst(H)
     return math.sqrt(0.5 * H * (2.0 * H - 1.0))
 
 
@@ -252,8 +250,9 @@ class RosenblattScheme:
     tail_tol: float
 
     def __post_init__(self):
-        check_hurst(self.H)
+        _check_scheme(self.H, self.substeps, self.tail_tol)
         e = np.asarray(self.y_edges, float)
+        check_finite("chaos grid", e)
         if e.ndim != 1 or len(e) < 33 or np.any(np.diff(e) <= 0):
             raise ConfigError("chaos grid must be increasing with >= 32 cells")
         object.__setattr__(self, "y_edges", e)
@@ -266,11 +265,7 @@ class RosenblattScheme:
 
         The far cells grow geometrically by a factor 1.3.
         """
-        check_hurst(H)
-        if substeps < 1:
-            raise ConfigError(f"substeps must be at least 1, got {substeps}")
-        if not tail_tol > 0.0:
-            raise ConfigError(f"tail_tol must be positive, got {tail_tol}")
+        _check_scheme(H, substeps, tail_tol)
         span = grid.t_max - grid.t_min
         dy = grid.dt / substeps
         near_lo = grid.t_min - 1.0
@@ -301,6 +296,15 @@ class RosenblattScheme:
     def tail_bound(self, grid: GridSpec) -> float:
         depth = grid.t_min - self.y_edges[0]
         return rosenblatt_tail_bound(self.H, grid.t_max - grid.t_min, depth)
+
+
+def _check_scheme(H, substeps, tail_tol) -> None:
+    """ConfigError unless H, substeps and tail_tol can make a scheme."""
+    check_hurst(H)
+    _check_count("substeps", substeps)
+    if not tail_tol > 0.0:
+        raise ConfigError(f"tail_tol must be positive, got {tail_tol}")
+    check_finite("tail_tol", tail_tol)
 
 
 def _cell_weights(top, bottom, width, g):
@@ -542,20 +546,17 @@ class CumulantSpec:
     order: int
 
     def __post_init__(self):
-        if not isinstance(self.order, numbers.Integral) \
-                or not 2 <= self.order <= 4:
-            raise ValueError(f"cumulant order must be 2, 3 or 4, got {self.order!r}")
+        if _check_count("cumulant order", self.order, 2) > 4:
+            raise ConfigError(f"cumulant order must be 2, 3 or 4, got {self.order!r}")
         if len(self.intervals) != len(self.thetas):
-            raise ValueError("need one theta per interval")
+            raise ConfigError("need one theta per interval")
         for s, t in self.intervals:
             if not s < t:
-                raise ValueError(f"interval endpoints must satisfy s < t, got {(s, t)}")
+                raise ConfigError(f"interval endpoints must satisfy s < t, got {(s, t)}")
         ends = [float(x) for iv in self.intervals for x in iv]
-        if ends and not math.isfinite(max(ends) - min(ends)):
-            raise ValueError("intervals must have finite endpoints and span a "
-                             f"finite length, got {self.intervals}")
-        if not all(math.isfinite(th) for th in self.thetas):
-            raise ValueError(f"thetas must be finite, got {self.thetas}")
+        if ends:
+            check_finite("the intervals' endpoints and span", max(ends) - min(ends))
+        check_finite("thetas", self.thetas)
 
 
 def _cell_averaged_link(x_edges: np.ndarray, H: float, lo: int,
@@ -635,10 +636,9 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     order 2 costs O(n_nodes) powers (see _cyclic_sum).
     """
     check_hurst(H)
-    if not isinstance(n_nodes, numbers.Integral) or n_nodes < 1:
-        raise ValueError(f"n_nodes must be a positive integer, got {n_nodes!r}")
+    _check_count("n_nodes", n_nodes)
     if not 0.0 < rtol < math.inf:
-        raise ValueError(f"rtol must be a positive finite number, got {rtol!r}")
+        raise ConfigError(f"rtol must be a positive finite number, got {rtol!r}")
     if all(th == 0.0 for th in spec.thetas):
         return 0.0
     # n_nodes lattice cells over the hull plus the endpoints; the fine

@@ -20,10 +20,11 @@ masked to 32 bits.  One Generator then draws each path after its Philox
 state is reset to (key, counter 0).
 """
 
-import operator
 from itertools import islice
 
 import numpy as np
+
+from .errors import _check_count
 
 MASK32 = 0xFFFFFFFF
 POOL_SIZE = 4
@@ -36,9 +37,7 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 def _words(n: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative int, as SeedSequence
     splits its entropy: 0 is one word."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
+    n = _check_count("a seed, stream or path index", n, 0)
     words = [n & MASK32]
     while n := n >> 32:
         words.append(n & MASK32)
@@ -73,6 +72,7 @@ def path_keys(seed: int, stream: int, path_offset: int,
     Row p equals ``SeedSequence(entropy=seed, spawn_key=(stream,
     path_offset + p)).generate_state(2, np.uint64)``.
     """
+    n_paths = _check_count("n_paths", n_paths, 0)  # _words checks the rest
     run = _words(seed)
     entropy = run + [0] * (POOL_SIZE - len(run)) + _words(stream)
     consts = _constants(INIT_A, MULT_A)
@@ -116,7 +116,8 @@ def path_keys(seed: int, stream: int, path_offset: int,
 
 def substream(seed: int, stream: int) -> np.random.Generator:
     """Generator for non-path randomness (e.g. permutation shuffles)."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    seq = np.random.SeedSequence(entropy=_check_count("seed", seed, 0),
+                                 spawn_key=(_check_count("stream", stream, 0),))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -130,10 +131,10 @@ def normal_matrix(seed: int, stream: int, n_rows: int, n_paths: int,
     of a C-ordered (n_paths, n_rows) block, so each path is contiguous.
     """
     keys = path_keys(seed, stream, path_offset, n_paths)
+    block = np.empty((len(keys), _check_count("n_rows", n_rows, 0)))
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     state = bitgen.state
-    block = np.empty((n_paths, n_rows))
     for key, row in zip(keys, block):
         state["state"]["key"] = key
         bitgen.state = state

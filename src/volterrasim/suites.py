@@ -11,7 +11,7 @@ import numpy as np
 from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
     shift_trace_criterion
 from .diagnostics import energy_statistic, energy_two_sample
-from .errors import ConfigError
+from .errors import _check_count
 from .evolution import SUBSTEPS, TAIL_TOL, EquationSpec, NoiseSpec, \
     _mild_values, check_limit_condition, covariance_q_infinity, \
     covariance_qt, sample_x_infinity
@@ -21,8 +21,10 @@ from .kernels import FbmKernel, check_regularity, phi_quadrature
 from .processes import GridSpec, simulate, simulate_fbm
 from .rng import substream
 
-SUITES = ("kernel", "isometry", "law-symmetry", "stationarity", "limit",
-          "criteria")
+# suite -> the name of its function here, looked up when it runs so that a
+# wrapper or patch is seen; the stochastic ones take (H, n_paths, seed)
+SUITES = {s: "suite_" + s.replace("-", "_") for s in (
+    "kernel", "isometry", "law-symmetry", "stationarity", "limit", "criteria")}
 LIMIT_TIMES = (1.0, 2.0, 4.0, 8.0)
 LIMIT_EARLY = 0.24  # a grid time at which X_t must still differ from x_inf
 
@@ -67,9 +69,7 @@ def _random_step_function(rng):
 
 
 def suite_isometry(H: float, n_paths: int, seed: int):
-    if n_paths < 2:
-        raise ConfigError(f"the isometry suite needs at least 2 paths, "
-                          f"got {n_paths}")
+    _check_count("the isometry suite's paths", n_paths, 2)
     kernel = FbmKernel(H)
     grid = GridSpec(-2.0, 2.0, 401)
     ens = simulate_fbm(grid, H, n_paths, seed)

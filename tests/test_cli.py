@@ -288,6 +288,7 @@ class TestSimulate:
     @pytest.mark.parametrize("tail_tol, error", [
         ("0", "tail_tol must be positive, got 0.0"),
         ("nan", "tail_tol must be positive, got nan"),
+        ("inf", "tail_tol must be finite"),
         ("1e-300", "tail tolerance 1e-300 unreachable "
                    "(bound at unit depth 1.28)"),
     ])
@@ -363,6 +364,7 @@ class TestSimulate:
     @pytest.mark.parametrize("process, flag, value, word", [
         ("rosenblatt", "--substeps", "0", "substeps"),
         ("rosenblatt", "--tail-tol", "0", "tail_tol"),
+        ("rosenblatt", "--tail-tol", "inf", "tail_tol must be finite"),
         ("rosenblatt", "--H", "0.3", "H must lie in (1/2, 1)"),
         ("fbm", "--paths", "0", "--paths"),
         ("rosenblatt", "--paths", "0", "--paths"),
@@ -498,9 +500,10 @@ class TestVerify:
         assert "suite result" not in out
         assert "paths" in err
 
-    def test_bad_x0_names_the_flag(self, capsys):
+    def test_x0_is_an_unknown_flag(self, capsys):
+        # the stationarity suite starts at x_infinity; the flag is gone
         assert run("verify", "--suite", "stationarity", "--seed", "4",
-                   "--x0", "bogus") == 2
+                   "--x0", "x-infinity") == 2
         out, err = capsys.readouterr()
         assert "suite result" not in out
         assert "--x0" in err

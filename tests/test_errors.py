@@ -1,5 +1,7 @@
-"""The package's shared checks: the Hurst range and quadrature estimates."""
+"""The package's shared checks: the Hurst range, finiteness and counts,
+quadrature estimates, and the table of every public entry's refusals."""
 
+import inspect
 import math
 import os
 import re
@@ -9,17 +11,30 @@ import sys
 import numpy as np
 import pytest
 
-from volterrasim import criteria, evolution, integration, kernels, processes
-from volterrasim.criteria import heat_admissibility, j_quadrature, \
-    shift_trace_criterion
-from volterrasim.errors import ConfigError, QuadratureError, check_estimate
-from volterrasim.evolution import NoiseSpec, check_H, check_limit_condition, \
-    covariance_g
-from volterrasim.integration import StepFunction, _kstar_l2_sq
-from volterrasim.kernels import FbmKernel, cov_R_quadrature, phi_quadrature
-from volterrasim.processes import CumulantSpec, GridSpec, RosenblattScheme, \
-    rosenblatt_cumulant, simulate_fbm
+from volterrasim import criteria, csvtext, diagnostics, errors, evolution, \
+    integration, kernels, processes, rng, suites
+from volterrasim.criteria import heat_admissibility, hs_heat_norm_sq, \
+    j_closed_form, j_quadrature, shift_trace_criterion
+from volterrasim.csvtext import format_rows
+from volterrasim.diagnostics import energy_statistic, energy_two_sample
+from volterrasim.errors import ConfigError, QuadratureError, \
+    check_estimate, check_finite, check_hurst
+from volterrasim.evolution import EquationSpec, NoiseSpec, check_H, \
+    check_limit_condition, covariance_g, covariance_qt, hs_norm_sq, \
+    sample_x_infinity, solve_mild
+from volterrasim.integration import StepFunction, _kstar_l2_sq, \
+    check_law_symmetries, definite_integral, kstar
+from volterrasim.kernels import FbmKernel, VolterraKernel, cov_R, \
+    cov_R_quadrature, fbm_cov, fbm_normalizing_constant, gauss_legendre, \
+    phi_quadrature, tanhsinh_sum
+from volterrasim.processes import CumulantSpec, Ensemble, GridSpec, \
+    RosenblattScheme, rosenblatt_cumulant, rosenblatt_normalizer, \
+    rosenblatt_sigma, rosenblatt_tail_bound, simulate, simulate_fbm, \
+    simulate_rosenblatt
+from volterrasim.rng import normal_matrix, path_keys, substream
 from volterrasim.suites import default_equation
+
+from support import generic_fbm_clone
 
 GRID = GridSpec(0.0, 1.0, 11)
 UNIT = CumulantSpec(((0.0, 1.0),), (1.0,), 2)
@@ -35,6 +50,11 @@ HURST_ENTRY_POINTS = {
     "NoiseSpec": lambda H: NoiseSpec(("fbm",), H),
     "shift_trace_criterion": lambda H: shift_trace_criterion(1.7, H),
     "heat_admissibility": lambda H: heat_admissibility(2, H),
+    "j_closed_form": lambda H: j_closed_form(1.0, H),
+    "j_quadrature": lambda H: j_quadrature(1.7, H),
+    "fbm_cov": lambda H: fbm_cov(0, 1, 0, 1, H),
+    "rosenblatt_sigma": rosenblatt_sigma,
+    "rosenblatt_normalizer": rosenblatt_normalizer,
 }
 
 
@@ -170,3 +190,417 @@ def test_package_loads_no_scipy_integrate_optimize_or_fft():
     loaded, unwanted = _fresh_stdout(code).splitlines()
     assert int(loaded) >= 11  # every module of the package
     assert unwanted == "[]"
+
+
+# The refusal table: every public entry that takes caller values, run with
+# each value it must refuse.  A number must not be NaN or +-inf, nor an H
+# outside (1/2, 1); a count must also not be 0, -1 or fractional; a seed,
+# stream or path index may be 0 but not negative or fractional; a time
+# must not be negative where the entry starts at 0.  Each refusal is a
+# ConfigError raised before the entry's heavy layers run; these are patched
+# to fail if reached.
+NUMBER = (math.nan, math.inf, -math.inf)
+POSITIVE = NUMBER + (0.0, -1.0)
+TIME = NUMBER + (-1.0,)  # from 0
+HURST = NUMBER + (0.3, 0.5, 1.0, 1.2)  # H outside (1/2, 1)
+COUNT = NUMBER + (0, -1, 2.5)
+INDEX = NUMBER + (-1, 2.5)
+
+
+def _reached(*args, **kwargs):
+    raise AssertionError("a heavy layer ran")
+
+
+QUADRATURE = ((kernels, "_tanhsinh"), (criteria, "_j_levels"),
+              (processes, "_cyclic_sum"))
+NOISE = ((np.random, "Philox"), (diagnostics, "_energy_columns"))
+HEAVY = QUADRATURE + NOISE
+
+FBM = FbmKernel(0.7)
+GENERIC = generic_fbm_clone(0.7)
+RECT = (0.0, 1.0, 0.5, 1.5)
+SCHEME = RosenblattScheme.for_grid(GRID, 0.75)
+ONE_MODE = EquationSpec([1.0], [[1.0]], NoiseSpec(("fbm",), 0.7))
+STATIONARY = EquationSpec([1.0], [[1.0]], NoiseSpec(("fbm",), 0.7),
+                          x0="x-infinity")
+_draws = np.random.default_rng(0)
+PATHS = Ensemble(GridSpec(-1.0, 1.0, 21), _draws.normal(size=(21, 150)))
+XS, YS = _draws.normal(size=(2, 60, 2))
+
+
+def _first(x, sample=XS):
+    """sample with its first value replaced by x."""
+    out = sample.copy()
+    out[0, 0] = x
+    return out
+
+
+def _edges(x):
+    return np.append(np.arange(40.0), x)
+
+
+# (entry and argument, the call, a value it accepts, the values it refuses,
+# the heavy layers); the solvers and the stochastic suites check their
+# equation's hypotheses by quadrature before they read paths and seed
+REFUSALS = [
+    ("check_hurst", check_hurst, 0.7, HURST, HEAVY),
+    ("check_finite", lambda x: check_finite("x", [1.0, x]), 1.0, NUMBER,
+     HEAVY),
+    # rng
+    ("path_keys seed", lambda x: path_keys(x, 0, 0, 2), 0, INDEX, HEAVY),
+    ("path_keys stream", lambda x: path_keys(0, x, 0, 2), 0, INDEX, HEAVY),
+    ("path_keys path_offset", lambda x: path_keys(0, 0, x, 2), 0, INDEX,
+     HEAVY),
+    ("path_keys n_paths", lambda x: path_keys(0, 0, 0, x), 2, INDEX, HEAVY),
+    ("normal_matrix seed", lambda x: normal_matrix(x, 0, 4, 2), 0, INDEX,
+     HEAVY),
+    ("normal_matrix stream", lambda x: normal_matrix(0, x, 4, 2), 0, INDEX,
+     HEAVY),
+    ("normal_matrix n_rows", lambda x: normal_matrix(0, 0, x, 2), 4, INDEX,
+     HEAVY),
+    ("normal_matrix n_paths", lambda x: normal_matrix(0, 0, 4, x), 2, INDEX,
+     HEAVY),
+    ("normal_matrix path_offset", lambda x: normal_matrix(0, 0, 4, 2, x), 0,
+     INDEX, HEAVY),
+    ("substream seed", lambda x: substream(x, 0), 0, INDEX, HEAVY),
+    ("substream stream", lambda x: substream(0, x), 0, INDEX, HEAVY),
+    # processes
+    ("GridSpec t_min", lambda x: GridSpec(x, 1.0, 11), 0.0, NUMBER, HEAVY),
+    ("GridSpec t_max", lambda x: GridSpec(0.0, x, 11), 1.0, NUMBER, HEAVY),
+    ("GridSpec n_points", lambda x: GridSpec(0.0, 1.0, x), 11, COUNT + (1,),
+     HEAVY),
+    ("GridSpec.index_of t", GRID.index_of, 0.5, NUMBER, HEAVY),
+    ("Ensemble.at t", PATHS.at, 0.0, NUMBER, HEAVY),
+    ("simulate_fbm H", lambda x: simulate_fbm(GRID, x, 2, 0), 0.7, HURST,
+     HEAVY),
+    ("simulate_fbm n_paths", lambda x: simulate_fbm(GRID, 0.7, x, 0), 2,
+     COUNT, HEAVY),
+    ("simulate_fbm seed", lambda x: simulate_fbm(GRID, 0.7, 2, x), 0, INDEX,
+     HEAVY),
+    ("simulate_fbm stream", lambda x: simulate_fbm(GRID, 0.7, 2, 0, x), 0,
+     INDEX, HEAVY),
+    ("simulate_fbm path_offset",
+     lambda x: simulate_fbm(GRID, 0.7, 2, 0, 0, x), 0, INDEX, HEAVY),
+    ("simulate_rosenblatt n_paths",
+     lambda x: simulate_rosenblatt(GRID, SCHEME, x, 0), 2, COUNT, HEAVY),
+    ("simulate_rosenblatt seed",
+     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, x), 0, INDEX, HEAVY),
+    ("simulate_rosenblatt stream",
+     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, x), 0, INDEX, HEAVY),
+    ("simulate_rosenblatt path_offset",
+     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, 0, x), 0, INDEX,
+     HEAVY),
+    ("simulate H", lambda x: simulate("fbm", GRID, x, 2, 0, 0, 0, 1e-3, 4),
+     0.7, HURST, HEAVY),
+    ("simulate n_paths",
+     lambda x: simulate("fbm", GRID, 0.7, x, 0, 0, 0, 1e-3, 4), 2, COUNT,
+     HEAVY),
+    ("simulate seed",
+     lambda x: simulate("fbm", GRID, 0.7, 2, x, 0, 0, 1e-3, 4), 0, INDEX,
+     HEAVY),
+    ("simulate stream",
+     lambda x: simulate("fbm", GRID, 0.7, 2, 0, x, 0, 1e-3, 4), 0, INDEX,
+     HEAVY),
+    ("simulate path_offset",
+     lambda x: simulate("fbm", GRID, 0.7, 2, 0, 0, x, 1e-3, 4), 0, INDEX,
+     HEAVY),
+    ("simulate tail_tol",
+     lambda x: simulate("rosenblatt", GRID, 0.75, 2, 0, 0, 0, x, 4), 1e-3,
+     POSITIVE, HEAVY),
+    ("simulate substeps",
+     lambda x: simulate("rosenblatt", GRID, 0.75, 2, 0, 0, 0, 1e-3, x), 4,
+     COUNT, HEAVY),
+    ("rosenblatt_sigma H", rosenblatt_sigma, 0.75, HURST, HEAVY),
+    ("rosenblatt_normalizer H", rosenblatt_normalizer, 0.75, HURST, HEAVY),
+    ("rosenblatt_tail_bound H", lambda x: rosenblatt_tail_bound(x, 1.0, 1.0),
+     0.75, HURST, HEAVY),
+    ("RosenblattScheme H", lambda x: RosenblattScheme(x, _edges(40.0), 1,
+                                                      1e-3),
+     0.75, HURST, HEAVY),
+    ("RosenblattScheme y_edges",
+     lambda x: RosenblattScheme(0.75, _edges(x), 1, 1e-3), 40.0, NUMBER,
+     HEAVY),
+    ("RosenblattScheme substeps",
+     lambda x: RosenblattScheme(0.75, _edges(40.0), x, 1e-3), 1, COUNT,
+     HEAVY),
+    ("RosenblattScheme tail_tol",
+     lambda x: RosenblattScheme(0.75, _edges(40.0), 1, x), 1e-3, POSITIVE,
+     HEAVY),
+    ("RosenblattScheme.for_grid H",
+     lambda x: RosenblattScheme.for_grid(GRID, x), 0.75, HURST, HEAVY),
+    ("RosenblattScheme.for_grid tail_tol",
+     lambda x: RosenblattScheme.for_grid(GRID, 0.75, x), 1e-3, POSITIVE,
+     HEAVY),
+    ("RosenblattScheme.for_grid substeps",
+     lambda x: RosenblattScheme.for_grid(GRID, 0.75, 1e-3, x), 4, COUNT,
+     HEAVY),
+    ("CumulantSpec start", lambda x: CumulantSpec(((x, 1.0),), (1.0,), 2),
+     0.0, NUMBER, HEAVY),
+    ("CumulantSpec end", lambda x: CumulantSpec(((0.0, x),), (1.0,), 2),
+     1.0, NUMBER, HEAVY),
+    ("CumulantSpec theta", lambda x: CumulantSpec(((0.0, 1.0),), (x,), 2),
+     1.0, NUMBER, HEAVY),
+    ("CumulantSpec order", lambda x: CumulantSpec(((0.0, 1.0),), (1.0,), x),
+     2, COUNT, HEAVY),
+    ("rosenblatt_cumulant H", lambda x: rosenblatt_cumulant(UNIT, x), 0.75,
+     HURST, HEAVY),
+    ("rosenblatt_cumulant n_nodes",
+     lambda x: rosenblatt_cumulant(UNIT, 0.75, x), 64, COUNT, HEAVY),
+    ("rosenblatt_cumulant rtol",
+     lambda x: rosenblatt_cumulant(UNIT, 0.75, 64, x), 5e-3, POSITIVE, HEAVY),
+    # kernels
+    ("VolterraKernel alpha",
+     lambda x: VolterraKernel(x, FBM.eval, FBM.deriv, 1.0), 0.2, POSITIVE,
+     HEAVY),
+    ("VolterraKernel regularity_const",
+     lambda x: VolterraKernel(0.2, FBM.eval, FBM.deriv, x), 1.0, POSITIVE,
+     HEAVY),
+    ("fbm_normalizing_constant H", fbm_normalizing_constant, 0.7, HURST,
+     HEAVY),
+    ("FbmKernel H", FbmKernel, 0.7, HURST, HEAVY),
+    ("fbm_cov H", lambda x: fbm_cov(*RECT, x), 0.7, HURST, HEAVY),
+    ("phi_quadrature u", lambda x: phi_quadrature(GENERIC, x, 1.0), 0.3,
+     NUMBER, HEAVY),
+    ("phi_quadrature v", lambda x: phi_quadrature(GENERIC, 0.3, x), 1.0,
+     NUMBER, HEAVY),
+    *[(f"{f.__name__} end {i}",
+       lambda x, f=f, i=i: f(GENERIC, *RECT[:i], x, *RECT[i + 1:]), RECT[i],
+       NUMBER, HEAVY) for f in (cov_R, cov_R_quadrature) for i in range(4)],
+    ("gauss_legendre order", gauss_legendre, 8, COUNT, HEAVY),
+    ("tanhsinh_sum a", lambda x: tanhsinh_sum("t", np.exp, x, 1.0), 0.0,
+     NUMBER, HEAVY),
+    ("tanhsinh_sum b", lambda x: tanhsinh_sum("t", np.exp, 0.0, x), 1.0,
+     NUMBER, HEAVY),
+    ("tanhsinh_sum rtol",
+     lambda x: tanhsinh_sum("t", np.exp, 0.0, 1.0, rtol=x), 1e-10, POSITIVE,
+     HEAVY),
+    ("check_regularity u", lambda x: kernels.check_regularity(FBM, [(x, 0.0)]),
+     1.0, NUMBER, HEAVY),
+    ("check_regularity r", lambda x: kernels.check_regularity(FBM, [(1.0, x)]),
+     0.0, NUMBER, HEAVY),
+    # integration
+    ("StepFunction breakpoint", lambda x: StepFunction([0.0, x], [1.0]), 1.0,
+     NUMBER, HEAVY),
+    ("StepFunction value", lambda x: StepFunction([0.0, 1.0], [x]), 1.0,
+     NUMBER, HEAVY),
+    ("definite_integral s", lambda x: definite_integral(np.exp, x, 1.0, PATHS),
+     0.0, NUMBER, HEAVY),
+    ("definite_integral t", lambda x: definite_integral(np.exp, 0.0, x, PATHS),
+     1.0, NUMBER, HEAVY),
+    ("definite_integral n_sub",
+     lambda x: definite_integral(np.exp, 0.0, 1.0, PATHS, x), 8, COUNT, HEAVY),
+    ("definite_integral integrand",
+     lambda x: definite_integral(lambda r: np.full_like(r, x), 0.0, 1.0,
+                                 PATHS), 1.0, NUMBER, HEAVY),
+    ("check_law_symmetries t",
+     lambda x: check_law_symmetries(np.exp, x, PATHS), 1.0, NUMBER, HEAVY),
+    ("check_law_symmetries n_sub",
+     lambda x: check_law_symmetries(np.exp, 1.0, PATHS, x), 8, COUNT, HEAVY),
+    ("check_law_symmetries seed",
+     lambda x: check_law_symmetries(np.exp, 1.0, PATHS, 8, x), 0, INDEX,
+     HEAVY),
+    # diagnostics
+    ("energy_statistic samples", lambda x: energy_statistic(_first(x), YS),
+     0.5, NUMBER, HEAVY),
+    ("energy_two_sample samples",
+     lambda x: energy_two_sample(XS, _first(x, YS)), 0.5, NUMBER, HEAVY),
+    ("energy_two_sample n_perm",
+     lambda x: energy_two_sample(XS, YS, n_perm=x), 20, COUNT, HEAVY),
+    ("energy_two_sample level",
+     lambda x: energy_two_sample(XS, YS, level=x), 0.01,
+     POSITIVE + (1.0,), HEAVY),
+    ("energy_two_sample seed", lambda x: energy_two_sample(XS, YS, seed=x), 0,
+     INDEX, HEAVY),
+    # evolution
+    ("NoiseSpec H", lambda x: NoiseSpec(("fbm",), x), 0.7, HURST, HEAVY),
+    ("EquationSpec lambdas",
+     lambda x: EquationSpec([x], [[1.0]], ONE_MODE.noise), 1.0, NUMBER,
+     HEAVY),
+    ("EquationSpec phi_matrix",
+     lambda x: EquationSpec([1.0], [[x]], ONE_MODE.noise), 1.0, NUMBER,
+     HEAVY),
+    ("EquationSpec x0",
+     lambda x: EquationSpec([1.0], [[1.0]], ONE_MODE.noise, x0=[x]), 0.5,
+     NUMBER, HEAVY),
+    ("solve_mild n_paths", lambda x: solve_mild(ONE_MODE, GRID, x, 0), 2,
+     COUNT, NOISE),
+    ("solve_mild seed", lambda x: solve_mild(ONE_MODE, GRID, 2, x), 0, INDEX,
+     NOISE),
+    ("solve_mild t_trunc",
+     lambda x: solve_mild(STATIONARY, GRID, 2, 0, t_trunc=x), 2.0, POSITIVE,
+     NOISE),
+    ("sample_x_infinity t_trunc",
+     lambda x: sample_x_infinity(ONE_MODE, x, 2, 0), 2.0, POSITIVE, NOISE),
+    ("sample_x_infinity n_paths",
+     lambda x: sample_x_infinity(ONE_MODE, 2.0, x, 0), 2, COUNT, NOISE),
+    ("sample_x_infinity seed",
+     lambda x: sample_x_infinity(ONE_MODE, 2.0, 2, x), 0, INDEX, NOISE),
+    ("sample_x_infinity dt",
+     lambda x: sample_x_infinity(ONE_MODE, 2.0, 2, 0, dt=x), 0.1, POSITIVE,
+     NOISE),
+    ("covariance_qt t", lambda x: covariance_qt(ONE_MODE, x), 1.0, TIME,
+     HEAVY),
+    ("covariance_g r", lambda x: covariance_g(ONE_MODE, x, 1.0), 1.0, TIME,
+     HEAVY),
+    ("covariance_g s", lambda x: covariance_g(ONE_MODE, 1.0, x), 1.0, TIME,
+     HEAVY),
+    # criteria
+    ("j_closed_form beta", lambda x: j_closed_form(x, 0.7), 1.7, NUMBER,
+     HEAVY),
+    ("j_closed_form H", lambda x: j_closed_form(1.7, x), 0.7, HURST, HEAVY),
+    ("j_quadrature beta", lambda x: j_quadrature(x, 0.7), 1.7, NUMBER, HEAVY),
+    ("j_quadrature H", lambda x: j_quadrature(1.7, x), 0.7, HURST, HEAVY),
+    ("j_quadrature truncation", lambda x: j_quadrature(1.7, 0.7, x), 100.0,
+     POSITIVE, HEAVY),
+    ("shift_trace_criterion beta", lambda x: shift_trace_criterion(x, 0.7),
+     1.7, NUMBER, HEAVY),
+    ("shift_trace_criterion H", lambda x: shift_trace_criterion(1.7, x), 0.7,
+     HURST, HEAVY),
+    ("hs_heat_norm_sq d", lambda x: hs_heat_norm_sq(x, 0.01), 1, COUNT,
+     HEAVY),
+    ("hs_heat_norm_sq r", lambda x: hs_heat_norm_sq(1, x), 0.01, POSITIVE,
+     HEAVY),
+    ("heat_admissibility d", lambda x: heat_admissibility(x, 0.7), 1, COUNT,
+     HEAVY),
+    ("heat_admissibility H", lambda x: heat_admissibility(1, x), 0.7, HURST,
+     HEAVY),
+    # suites
+    ("default_equation H", default_equation, 0.7, HURST, HEAVY),
+    *[(f"{suite.__name__} {arg}", call, good, bad, NOISE)
+      for suite in (suites.suite_isometry, suites.suite_law_symmetry,
+                    suites.suite_stationarity, suites.suite_limit)
+      for arg, call, good, bad in (
+          ("H", lambda x, s=suite: s(x, 60, 0), 0.7, HURST),
+          ("n_paths", lambda x, s=suite: s(0.7, x, 0), 60, COUNT),
+          ("seed", lambda x, s=suite: s(0.7, 60, x), 0, INDEX))],
+]
+
+
+@pytest.fixture
+def heavy_layers(monkeypatch):
+    """Patch the given layers to fail if reached."""
+    def patch(layers):
+        for owner, name in layers:
+            monkeypatch.setattr(owner, name, _reached)
+    return patch
+
+
+@pytest.mark.parametrize("call, value, heavy", [
+    pytest.param(call, value, heavy, id=f"{entry}-{value!r}")
+    for entry, call, _, bad, heavy in REFUSALS for value in bad])
+def test_bad_input_is_refused_before_any_heavy_layer(heavy_layers, call,
+                                                     value, heavy):
+    heavy_layers(heavy)
+    with pytest.raises(ConfigError):
+        call(value)
+
+
+@pytest.mark.parametrize("call, good, heavy",
+                         [pytest.param(call, good, heavy, id=entry)
+                          for entry, call, good, _, heavy in REFUSALS])
+def test_the_table_refuses_only_its_bad_values(heavy_layers, call, good,
+                                               heavy):
+    # an accepted value returns or reaches a heavy layer: the table's
+    # refusals come from the values it marks bad, not from its calls
+    heavy_layers(heavy)
+    try:
+        call(good)
+    except AssertionError as exc:
+        assert str(exc) == "a heavy layer ran"
+
+
+# Values that go through unrefused, each with the reason; each call shows
+# one going through.
+ALLOWED = {
+    "FbmKernel.eval and FbmKernel.deriv at NaN":
+        (lambda: (FBM.eval(math.nan, 0.0), FBM.deriv(math.nan, 0.0)),
+         "quadrature calls them at every node; no check enters that path"),
+    "kstar at NaN":
+        (lambda: kstar(FBM, StepFunction([0.0, 1.0], [1.0]), math.nan),
+         "the K* norm's quadrature calls it at every node"),
+    "hs_norm_sq at NaN":
+        (lambda: hs_norm_sq(ONE_MODE, math.nan),
+         "check_H's and check_limit_condition's quadratures call it at "
+         "every node"),
+    "fbm_cov, FbmKernel.phi_closed_form and FbmKernel.cov_closed_form at "
+    "NaN times":
+        (lambda: (fbm_cov(math.nan, 1.0, 0.0, 1.0, 0.7),
+                  FBM.phi_closed_form(math.nan, 1.0),
+                  FBM.cov_closed_form(math.nan, 1.0, 0.0, 1.0)),
+         "closed forms on arrays of times, taken per cell pair; H is "
+         "checked"),
+    "rosenblatt_tail_bound at a NaN span and an infinite depth":
+        (lambda: rosenblatt_tail_bound(0.75, math.nan, math.inf),
+         "a closed form; H is checked"),
+    "Ensemble, write_csv and format_rows with NaN values":
+        (lambda: list(format_rows(Ensemble(GRID, np.full(11, math.nan))
+                                  .values)),
+         "they hold or write sample values as given, nan and inf as repr "
+         "writes them; the energy test refuses samples that are not finite"),
+    "normal_matrix and path_keys with no rows or no paths":
+        (lambda: (normal_matrix(0, 0, 0, 2), normal_matrix(0, 0, 4, 0)),
+         "an empty draw"),
+    "StepFunction at a NaN time":
+        (lambda: StepFunction([0.0, 1.0], [1.0])(math.nan),
+         "a NaN lies in no step, where the function is 0"),
+    "j_closed_form and shift_trace_criterion at the threshold":
+        (lambda: (j_closed_form(1.2, 0.7), shift_trace_criterion(1.2, 0.7)),
+         "J is DIVERGENT for beta <= H + 1/2, as documented"),
+    "simulate fbm with a NaN tail_tol and no substeps":
+        (lambda: simulate("fbm", GRID, 0.7, 2, 0, 0, 0, math.nan, 0),
+         "fbm ignores the Rosenblatt scheme's settings, as documented"),
+}
+
+# Public entries that take no numbers of the caller's
+NO_CALLER_NUMBERS = {
+    "check_estimate": "decides on a quadrature's value and estimate, and "
+                      "raises QuadratureError",
+    "TwoSampleReport": "a result record",
+    "JQuadResult": "a result record",
+    "through_origin": "takes a grid",
+    "RosenblattScheme.tail_bound": "takes a grid",
+    "Ensemble.to_csv": "takes a path",
+    "VolterraKernel.phi_closed_form": "a generic kernel has none",
+    "VolterraKernel.cov_closed_form": "a generic kernel has none",
+    "rosenblatt_grid_covariance": "takes a grid and a scheme",
+    "rosenblatt_discretization_tolerance": "takes a grid and a scheme",
+    "d_norm_sq": "takes a kernel and a step function",
+    "integrate_step": "takes a step function and an ensemble",
+    "covariance_q_infinity": "takes a spec",
+    "check_H": "takes a spec",
+    "check_limit_condition": "takes a spec",
+    "suite_kernel": "takes nothing",
+    "suite_criteria": "takes nothing",
+}
+
+
+@pytest.mark.parametrize("entry", list(ALLOWED))
+def test_allowed_values_go_through(entry):
+    call, reason = ALLOWED[entry]
+    assert reason
+    call()
+
+
+def test_the_table_covers_every_public_entry():
+    # the command line is left out: argparse hands its values to these
+    # entries, and tests/test_cli.py runs its bad values
+    named = set(re.findall(r"[\w.]+", " ".join(
+        [row[0] for row in REFUSALS] + list(HURST_ENTRY_POINTS)
+        + list(ALLOWED) + list(NO_CALLER_NUMBERS))))
+    entries = []
+    for module in (errors, rng, csvtext, processes, kernels, integration,
+                   diagnostics, evolution, criteria, suites):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) \
+                    or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type) and issubclass(obj, BaseException):
+                continue
+            entries.append(name)
+            if isinstance(obj, type):  # and its public methods
+                entries += [
+                    f"{name}.{attr}" for attr, value in vars(obj).items()
+                    if not attr.startswith("_") and (
+                        inspect.isfunction(value)
+                        or isinstance(value, classmethod))]
+    assert [e for e in entries if e not in named] == []

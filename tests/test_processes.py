@@ -61,6 +61,9 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
         with pytest.raises(ValueError):
             GridSpec(-0.35, 1.0, 10)  # would skip over zero
+        # 2.5 points had times [0, 0.667, 1.333], past t_max = 1
+        with pytest.raises(ConfigError, match="n_points"):
+            GridSpec(0.0, 1.0, 2.5)
 
 
 class TestEnsemble:
