@@ -8,7 +8,6 @@ all defaults spelled out).
 
 import argparse
 import contextlib
-import ctypes
 import multiprocessing
 import os
 import sys
@@ -16,6 +15,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
+from .blas import one_blas_thread
 from .errors import ConfigError, VolterraError, check_hurst
 from .csvtext import format_rows
 from .processes import PROCESSES, GridSpec, RosenblattScheme, simulate, \
@@ -63,39 +63,6 @@ nonnegative_int = int_at_least(0, "non-negative")  # seeds and stream ids
 def default_workers() -> int:
     """Every CPU this process may run on where the pool forks, else 1."""
     return len(os.sched_getaffinity(0)) if FORK_POOL else 1
-
-
-# (get, set) thread-count functions of the OpenBLAS builds bundled in
-# numpy's wheels (64-bit integers) and scipy's
-OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Every OpenBLAS mapped into this process at one thread, then back.
-
-    Workers forked inside inherit the setting, so n workers run n threads
-    and not n BLAS pools each.  Any other BLAS build is left as it is.
-    The thread count never changes a simulated value.
-    """
-    with open("/proc/self/maps") as fh:
-        libs = {line.split()[-1] for line in fh if "openblas" in line}
-    restore = []
-    for lib in map(ctypes.CDLL, libs):
-        for get, set_ in OPENBLAS_THREADS:
-            if hasattr(lib, set_):
-                restore.append((getattr(lib, set_), getattr(lib, get)()))
-                break
-    for set_, _ in restore:
-        set_(1)
-    try:
-        yield
-    finally:
-        for set_, n in restore:
-            set_(n)
 
 
 @contextlib.contextmanager
@@ -205,13 +172,15 @@ def cmd_verify(args) -> int:
     from . import suites
 
     check_hurst(args.H)
-    stochastic = args.suite not in ("kernel", "criteria")
-    if stochastic and args.seed is None:
-        raise ConfigError("--seed is required for stochastic suites")
+    stochastic = suites.SUITES[args.suite] is not None
+    if stochastic:
+        if args.seed is None:
+            raise ConfigError("--seed is required for stochastic suites")
+        suites._check_run(args.suite, args.paths, args.seed)
     if args.out:
         report, manifest_path = out_paths(args, f"verify_{args.suite}.txt",
                                           "manifest.txt")
-    run = getattr(suites, suites.SUITES[args.suite])
+    run = getattr(suites, "suite_" + args.suite.replace("-", "_"))
     ok, lines = run(args.H, args.paths, args.seed) if stochastic else run()
     for line in lines:
         print(line)

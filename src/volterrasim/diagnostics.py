@@ -14,6 +14,7 @@ from .errors import ConfigError, _check_count, check_finite
 from .rng import substream
 
 ROW_BLOCK = 128  # distance-matrix rows made and used together
+MIN_OBSERVATIONS = 50  # the fewest rows energy_two_sample takes per sample
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,7 @@ def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
         raise ConfigError("need 0 < level < 1")
     Z, nx = _stack(X, Y)
     ny = len(Z) - nx
-    if min(nx, ny) < 50:
-        raise ConfigError("need at least 50 observations per sample")
+    _check_count("observations per sample", min(nx, ny), MIN_OBSERVATIONS)
     if (Z == Z[0]).all():
         # both samples the same constant: laws trivially equal
         return TwoSampleReport(0.0, 1.0, n_perm, level)

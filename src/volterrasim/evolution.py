@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .errors import ConfigError, _check_count, check_estimate, check_finite, \
     check_hurst
 from .kernels import tanhsinh_sum
@@ -114,6 +115,7 @@ def _exp_cell_averages(lam: float, times: np.ndarray,
     return np.where(inside, avg, 0.0)
 
 
+@one_blas_thread()
 def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
                     n_paths: int, seed: int) -> np.ndarray:
     """Cell sum of int_grid S(t - r) Phi dB_r, shape (n_t, n_modes, n_paths).
@@ -122,12 +124,13 @@ def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
     of PATH_BLOCK paths at a time: a block's increments are added into its
     columns of every mode k drives, and dropped.  Each mode sums its terms
     in ascending k; its exponential weights are built at its first nonzero
-    Phi entry and dropped after its last.
+    Phi entry and dropped after its last.  It runs at one BLAS thread, so
+    that no value depends on the thread count.
     """
     Phi = spec.phi_matrix
     last = {n: row.nonzero()[0][-1] for n, row in enumerate(Phi) if row.any()}
     weights = {}
-    out = np.zeros((len(times), spec.n_modes, _check_count("n_paths", n_paths)))
+    out = np.zeros((len(times), spec.n_modes, n_paths))
     for k, fam in enumerate(spec.noise.families):
         driven = Phi[:, k].nonzero()[0]
         weights |= {n: _exp_cell_averages(spec.lambdas[n], times, grid.times)
@@ -172,6 +175,8 @@ def _mild_values(spec: EquationSpec, grid: GridSpec, times: np.ndarray,
     (len(times), n_modes, n_paths)."""
     if grid.t_min != 0.0:
         raise ConfigError("solution grid must start at t = 0")
+    n_paths = _check_count("n_paths", n_paths)
+    _check_count("seed", seed, 0)
     sim_grid = grid
     if isinstance(spec.x0, str):
         n_past = _past_steps(t_trunc, grid.dt)
@@ -194,6 +199,8 @@ def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
     the result, memory grows with T / dt by one block, not with n_paths.
     """
     n_steps = _past_steps(t_trunc, dt)
+    n_paths = _check_count("n_paths", n_paths)
+    _check_count("seed", seed, 0)
     if not check_limit_condition(spec)[1]:
         raise ConfigError("limiting-measure condition fails; x_infinity undefined")
     grid = GridSpec(-t_trunc, 0.0, n_steps + 1)

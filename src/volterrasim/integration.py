@@ -17,6 +17,7 @@ from .kernels import VolterraKernel, cov_R, gauss_legendre, tanhsinh_sum
 from .processes import Ensemble
 
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(8)
+N_SUB = 64  # the most step cells definite_integral approximates fn with
 _EPS = np.finfo(float).eps
 
 
@@ -39,13 +40,6 @@ class StepFunction:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def __call__(self, r):
-        j = np.searchsorted(self.breakpoints, r, side="right") - 1
-        out = np.zeros(self.dim)
-        if 0 <= j < len(self.values):
-            out = self.values[j]
-        return out
 
 
 def kstar(kernel: VolterraKernel, f: StepFunction, r) -> np.ndarray:
@@ -177,8 +171,8 @@ def _cell_averages(fn, edges: np.ndarray) -> np.ndarray:
         np.moveaxis(fx, 0, -1)))
 
 
-def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndarray:
-    """int_s^t fn(r) db_r via an n_sub-cell step approximation.
+def definite_integral(fn, s: float, t: float, paths) -> np.ndarray:
+    """int_s^t fn(r) db_r via a step approximation of at most N_SUB cells.
 
     fn is called once, on an array of nodes (see _cell_averages).
     """
@@ -186,9 +180,8 @@ def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndar
         raise ConfigError("need finite s < t")
     grid = paths.grid
     n_cells = max(1, int(round((t - s) / grid.dt)))
-    n_sub = min(_check_count("n_sub", n_sub), n_cells)
     # align sub-cell edges with the path grid so increments are exact
-    per = max(1, n_cells // n_sub)
+    per = max(1, n_cells // N_SUB)
     edges = [s + grid.dt * per * j for j in range(n_cells // per)] + [t]
     edges = np.array(edges)
     if len(edges) < 2 or np.any(np.diff(edges) <= 0):
@@ -197,8 +190,7 @@ def definite_integral(fn, s: float, t: float, paths, n_sub: int = 64) -> np.ndar
                           paths)
 
 
-def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
-                         seed: int = 0):
+def check_law_symmetries(fn, t: float, ensemble, seed: int = 0):
     """Two-sample reports for the three equal-in-law integrals.
 
     int_0^t f(t-r) db_r, int_0^t f(r) db_r and int_{-t}^0 f(-u) db_u are
@@ -216,9 +208,9 @@ def check_law_symmetries(fn, t: float, ensemble, n_sub: int = 64,
     def sub(sl):
         return Ensemble(grid, ensemble.values[:, sl])
 
-    conv = definite_integral(lambda r: fn(t - r), 0.0, t, sub(thirds[0]), n_sub)
-    plain = definite_integral(fn, 0.0, t, sub(thirds[1]), n_sub)
-    refl = definite_integral(lambda u: fn(-u), -t, 0.0, sub(thirds[2]), n_sub)
+    conv = definite_integral(lambda r: fn(t - r), 0.0, t, sub(thirds[0]))
+    plain = definite_integral(fn, 0.0, t, sub(thirds[1]))
+    refl = definite_integral(lambda u: fn(-u), -t, 0.0, sub(thirds[2]))
     samples = {"convolution": conv.T, "plain": plain.T, "reflected": refl.T}
     names = list(samples)
     reports = {}

@@ -10,7 +10,8 @@ import numpy as np
 
 from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
     shift_trace_criterion
-from .diagnostics import energy_statistic, energy_two_sample
+from .diagnostics import MIN_OBSERVATIONS, energy_statistic, \
+    energy_two_sample
 from .errors import _check_count
 from .evolution import SUBSTEPS, TAIL_TOL, EquationSpec, NoiseSpec, \
     _mild_values, check_limit_condition, covariance_q_infinity, \
@@ -21,12 +22,27 @@ from .kernels import FbmKernel, check_regularity, phi_quadrature
 from .processes import GridSpec, simulate, simulate_fbm
 from .rng import substream
 
-# suite -> the name of its function here, looked up when it runs so that a
-# wrapper or patch is seen; the stochastic ones take (H, n_paths, seed)
-SUITES = {s: "suite_" + s.replace("-", "_") for s in (
-    "kernel", "isometry", "law-symmetry", "stationarity", "limit", "criteria")}
+# suite -> the least n_paths it runs on: MIN_OBSERVATIONS per energy-test
+# sample its paths are split into, 2 for isometry's variance, None if it is
+# deterministic; suite_<name, - as _> runs it, looked up so a patch is seen
+SUITES = {"kernel": None, "isometry": 2, "law-symmetry": 3 * MIN_OBSERVATIONS,
+          "stationarity": 2 * MIN_OBSERVATIONS, "limit": MIN_OBSERVATIONS,
+          "criteria": None}
 LIMIT_TIMES = (1.0, 2.0, 4.0, 8.0)
 LIMIT_EARLY = 0.24  # a grid time at which X_t must still differ from x_inf
+
+
+def _check_run(suite: str, n_paths, seed) -> None:
+    """ConfigError unless n_paths reaches SUITES[suite] and seed is a seed."""
+    why = (f" ({MIN_OBSERVATIONS} observations per energy-test sample)"
+           if SUITES[suite] >= MIN_OBSERVATIONS else "")
+    _check_count(f"the {suite} suite's paths{why}", n_paths, SUITES[suite])
+    _check_count("seed", seed, 0)
+
+
+def _result(records):
+    """(all passed, lines) of (passed, line) records; None only informs."""
+    return all(p for p, _ in records if p is not None), [x for _, x in records]
 
 
 def default_equation(H: float, x0=None):
@@ -37,8 +53,7 @@ def default_equation(H: float, x0=None):
 
 
 def suite_kernel():
-    lines = []
-    ok = True
+    records = []
     rng = substream(0, 101)
     for H in (0.55, 0.7, 0.9):
         kernel = FbmKernel(H)
@@ -47,16 +62,14 @@ def suite_kernel():
         closed = kernel.phi_closed_form(u, v)
         worst = np.max(abs(phi_quadrature(kernel, u, v) - closed) / closed)
         good = worst <= 1e-4
-        ok &= good
-        lines.append(f"phi quadrature vs closed form H={H}: "
-                     f"max rel err {worst:.2e} ({'pass' if good else 'FAIL'})")
+        records.append((good, f"phi quadrature vs closed form H={H}: max rel "
+                              f"err {worst:.2e} ({'pass' if good else 'FAIL'})"))
         pairs = [(r + d, r) for r in (-2.0, 0.0, 3.0) for d in (0.01, 0.5, 2.0)]
         rep = check_regularity(kernel, pairs)
-        ok &= rep["passed"]
-        lines.append(f"regularity bound H={H}: max ratio {rep['max_ratio']:.6f}"
-                     f" <= {rep['bound']:.6f} "
-                     f"({'pass' if rep['passed'] else 'FAIL'})")
-    return ok, lines
+        records.append((rep["passed"], f"regularity bound H={H}: max ratio "
+                        f"{rep['max_ratio']:.6f} <= {rep['bound']:.6f} "
+                        f"({'pass' if rep['passed'] else 'FAIL'})"))
+    return _result(records)
 
 
 def _random_step_function(rng):
@@ -69,13 +82,12 @@ def _random_step_function(rng):
 
 
 def suite_isometry(H: float, n_paths: int, seed: int):
-    _check_count("the isometry suite's paths", n_paths, 2)
+    _check_run("isometry", n_paths, seed)
     kernel = FbmKernel(H)
     grid = GridSpec(-2.0, 2.0, 401)
     ens = simulate_fbm(grid, H, n_paths, seed)
     rng = substream(seed, 202)
-    lines = []
-    ok = True
+    records = []
     for i in range(5):
         f = _random_step_function(rng)
         f = StepFunction(np.array([grid.times[grid.index_of(b)]
@@ -85,13 +97,14 @@ def suite_isometry(H: float, n_paths: int, seed: int):
         mc = vals.var()
         stderr = mc * np.sqrt(2.0 / (n_paths - 1))
         good = abs(mc - target) <= 3.0 * stderr
-        ok &= good
-        lines.append(f"isometry f#{i}: MC {mc:.5f} vs D-norm {target:.5f} "
-                     f"(3se={3 * stderr:.5f}, {'pass' if good else 'FAIL'})")
-    return ok, lines
+        records.append((good, f"isometry f#{i}: MC {mc:.5f} vs D-norm "
+                              f"{target:.5f} (3se={3 * stderr:.5f}, "
+                              f"{'pass' if good else 'FAIL'})"))
+    return _result(records)
 
 
 def suite_law_symmetry(H: float, n_paths: int, seed: int):
+    _check_run("law-symmetry", n_paths, seed)
     grid = GridSpec(-1.0, 1.0, 201)
     drivers = {
         "fbm": simulate_fbm(grid, H, n_paths, seed),
@@ -102,15 +115,13 @@ def suite_law_symmetry(H: float, n_paths: int, seed: int):
         "exp": lambda r: np.array([np.exp(-r)]),
         "rational": lambda r: np.array([1.0 / (1.0 + r * r)]),
     }
-    lines = []
-    ok = True
+    records = []
     for dname, ens in drivers.items():
         for fno, (fname, fn) in enumerate(integrands.items()):
             reports = check_law_symmetries(fn, 1.0, ens, seed=seed + 31 * fno)
-            for key, rep in reports.items():
-                ok &= rep.passed
-                lines.append(f"law symmetry {dname}/{fname} {key}: {rep}")
-    return ok, lines
+            records += [(rep.passed, f"law symmetry {dname}/{fname} {key}: "
+                                     f"{rep}") for key, rep in reports.items()]
+    return _result(records)
 
 
 def _solution_at(spec, grid, times, n_paths, seed):
@@ -122,6 +133,7 @@ def _solution_at(spec, grid, times, n_paths, seed):
 
 
 def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity"):
+    _check_run("stationarity", n_paths, seed)
     spec = default_equation(H, x0=x0)
     base_times = (0.5, 1.0, 2.0)
     h = 1.0
@@ -132,8 +144,8 @@ def suite_stationarity(H: float, n_paths: int, seed: int, x0="x-infinity"):
     base = np.column_stack([X[t][:half] for t in base_times])
     shifted = np.column_stack([X[t][half:] for t in shifted_times])
     rep = energy_two_sample(base, shifted, seed=seed)
-    line = f"joint law at {base_times} vs shift h={h}: {rep}"
-    return rep.passed, [line]
+    return _result([(rep.passed,
+                     f"joint law at {base_times} vs shift h={h}: {rep}")])
 
 
 def suite_limit(H: float, n_paths: int, seed: int):
@@ -144,70 +156,63 @@ def suite_limit(H: float, n_paths: int, seed: int):
     tells X at an early time from x_infinity; and it does not at the
     last time.  The energy distances at LIMIT_TIMES are printed too.
     """
+    _check_run("limit", n_paths, seed)
     spec = default_equation(H)
     value, finite = check_limit_condition(spec)
-    lines = [f"limit condition integral: {value:.6f} "
-             f"({'finite' if finite else 'DIVERGENT'})"]
-    ok = finite
+    records = [(finite, f"limit condition integral: {value:.6f} "
+                        f"({'finite' if finite else 'DIVERGENT'})")]
     tr_inf = np.trace(covariance_q_infinity(spec))
     gaps = [tr_inf - np.trace(covariance_qt(spec, t)) for t in LIMIT_TIMES]
-    for t, gap in zip(LIMIT_TIMES, gaps):
-        lines.append(f"Tr q_inf - Tr q_{t}: {gap:.6f}")
+    records += [(None, f"Tr q_inf - Tr q_{t}: {gap:.6f}")
+                for t, gap in zip(LIMIT_TIMES, gaps)]
     good = gaps[-1] > 0.0 and all(b < a for a, b in zip(gaps, gaps[1:]))
-    ok &= good
-    lines.append("covariance gap positive and falling: "
-                 + ("pass" if good else "FAIL"))
+    records.append((good, "covariance gap positive and falling: "
+                          + ("pass" if good else "FAIL")))
     X = _solution_at(spec, GridSpec(0.0, LIMIT_TIMES[-1], 401),
                      (LIMIT_EARLY, *LIMIT_TIMES), n_paths, seed)
     target = sample_x_infinity(spec, 25.0, n_paths, seed + 1, dt=0.02).T
-    for t in LIMIT_TIMES:
-        d = energy_statistic(X[t], target)
-        lines.append(f"energy distance Law(X_{t}) vs x_inf: {d:.5f}")
+    records += [(None, f"energy distance Law(X_{t}) vs x_inf: "
+                       f"{energy_statistic(X[t], target):.5f}")
+                for t in LIMIT_TIMES]
     early = energy_two_sample(X[LIMIT_EARLY], target, seed=seed)
     good = not early.passed
-    ok &= good
-    lines.append(f"Law(X_{LIMIT_EARLY}) vs x_inf: "
-                 f"energy={early.statistic:.6g} p={early.p_value:.4f} "
-                 f"(n_perm={early.n_permutations}), rejected at level "
-                 f"{early.level}: {'pass' if good else 'FAIL'}")
+    records.append((good, f"Law(X_{LIMIT_EARLY}) vs x_inf: "
+                          f"energy={early.statistic:.6g} p={early.p_value:.4f} "
+                          f"(n_perm={early.n_permutations}), rejected at level "
+                          f"{early.level}: {'pass' if good else 'FAIL'}"))
     late = energy_two_sample(X[LIMIT_TIMES[-1]], target, seed=seed)
-    ok &= late.passed
-    lines.append(f"Law(X_{LIMIT_TIMES[-1]}) vs x_inf: {late}")
-    return ok, lines
+    records.append((late.passed, f"Law(X_{LIMIT_TIMES[-1]}) vs x_inf: {late}"))
+    return _result(records)
 
 
 def suite_criteria():
-    lines = []
-    ok = True
+    records = []
     eps = 1e-6
     for H in (0.6, 0.75, 0.9):
         thr = H + 0.5
         below = shift_trace_criterion(thr - eps, H)["exists"]
         above = shift_trace_criterion(thr + eps, H)["exists"]
         good = (not below) and above
-        ok &= good
-        lines.append(f"threshold flip at beta={thr}+-{eps} (H={H}): "
-                     f"{'pass' if good else 'FAIL'}")
+        records.append((good, f"threshold flip at beta={thr}+-{eps} (H={H}): "
+                              f"{'pass' if good else 'FAIL'}"))
         beta = H + 1.0
         jc = j_closed_form(beta, H)
         jq = j_quadrature(beta, H, truncation=200.0)
         rel = abs(jc - jq.value) / jc
         good = rel <= 1e-5
-        ok &= good
-        lines.append(f"J closed {jc:.6f} vs quadrature {jq.value:.6f} "
-                     f"(beta={beta}, H={H}): rel {rel:.2e} "
-                     f"({'pass' if good else 'FAIL'})")
+        records.append((good, f"J closed {jc:.6f} vs quadrature {jq.value:.6f} "
+                              f"(beta={beta}, H={H}): rel {rel:.2e} "
+                              f"({'pass' if good else 'FAIL'})"))
     wiener = shift_trace_criterion(1.1, 0.75)
     good = wiener["wiener_exists"] and not wiener["exists"]
-    ok &= good
-    lines.append("Wiener-vs-fBm contrast at beta=1.1, H=0.75: "
-                 f"{'pass' if good else 'FAIL'}")
+    records.append((good, "Wiener-vs-fBm contrast at beta=1.1, H=0.75: "
+                          f"{'pass' if good else 'FAIL'}"))
     for d in (1, 2, 3):
         for H in (0.6, 0.7, 0.8, 0.9):
             rep = heat_admissibility(d, H)
             good = rep["admissible"] == (d < 4 * H) and rep["exponent_ok"]
-            ok &= good
-            lines.append(f"heat d={d} H={H}: admissible={rep['admissible']} "
-                         f"exponent {rep['fitted_exponent']:.3f} "
-                         f"({'pass' if good else 'FAIL'})")
-    return ok, lines
+            records.append((good, f"heat d={d} H={H}: admissible="
+                                  f"{rep['admissible']} exponent "
+                                  f"{rep['fitted_exponent']:.3f} "
+                                  f"({'pass' if good else 'FAIL'})"))
+    return _result(records)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from volterrasim import cli
+from volterrasim import blas, cli
 from volterrasim.cli import main, parse_grid, write_manifest
 from volterrasim.errors import ConfigError
 from volterrasim.processes import GridSpec, simulate
@@ -167,14 +167,14 @@ class TestSimulate:
         script = """if True:
             import ctypes, os
             import numpy as np
-            from volterrasim import cli
+            from volterrasim import blas, cli
 
             def counts():
                 with open("/proc/self/maps") as fh:
                     libs = {l.split()[-1] for l in fh if "openblas" in l}
                 return sorted(getattr(lib, get)()
                               for lib in map(ctypes.CDLL, libs)
-                              for get, _ in cli.OPENBLAS_THREADS
+                              for get, _ in blas.OPENBLAS_THREADS
                               if hasattr(lib, get))
 
             def threads_after_blas():
@@ -193,6 +193,16 @@ class TestSimulate:
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              check=True, capture_output=True, text=True)
         assert out.stdout.split() == ["1", "True"]
+
+    def test_one_blas_thread_without_proc_maps(self, monkeypatch):
+        # where the process's mappings cannot be read, it changes nothing
+        # and does not raise
+        def missing(path):
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(blas, "open", missing, raising=False)
+        with blas.one_blas_thread():
+            pass
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # fbm's FFTs and Rosenblatt's convolution never call BLAS, and the
@@ -405,11 +415,16 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [a for a in readme_commands()
                                       if a[0] == "verify"],
                              ids=lambda a: a[2])
-    def test_readme_output_md5(self, capsys, argv):
-        # every printed figure and verdict stays as the README runs print it
-        assert run(*argv) == 0
-        digest = hashlib.md5(capsys.readouterr().out.encode())
-        assert digest.hexdigest() == README_VERIFY_MD5[argv[2]]
+    def test_readme_output_md5(self, tmp_path, capsys, argv):
+        # every printed figure and verdict stays as the README runs print
+        # it, and the report holds the printed lines but the verdict
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        printed = capsys.readouterr().out
+        assert hashlib.md5(printed.encode()).hexdigest() \
+            == README_VERIFY_MD5[argv[2]]
+        lines, verdict = printed.rsplit("suite result:", 1)
+        assert verdict == " pass\n"
+        assert (tmp_path / f"verify_{argv[2]}.txt").read_text() == lines
 
     def test_kernel_suite_needs_no_seed(self, capsys):
         assert run("verify", "--suite", "kernel") == 0
@@ -513,6 +528,17 @@ class TestVerify:
         out, err = capsys.readouterr()
         assert "suite result" not in out
         assert "--seed: must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if SUITES[s]])
+    def test_paths_below_the_floor_refused_before_out_and_any_work(
+            self, tmp_path, capsys, heavy_layers, suite):
+        out = tmp_path / "rep"
+        assert run("verify", "--suite", suite, "--seed", "1", "--paths",
+                   str(SUITES[suite] - 1), "--out", str(out)) == 2
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert "paths" in err and f">= {SUITES[suite]}," in err
+        assert not out.exists()
 
     def test_limit_suite_too_few_paths_is_usage_error(self, capsys):
         assert run("verify", "--suite", "limit", "--seed", "1",

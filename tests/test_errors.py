@@ -11,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-from volterrasim import criteria, csvtext, diagnostics, errors, evolution, \
-    integration, kernels, processes, rng, suites
+from volterrasim import blas, criteria, csvtext, diagnostics, errors, \
+    evolution, integration, kernels, processes, rng, suites
 from volterrasim.criteria import heat_admissibility, hs_heat_norm_sq, \
     j_closed_form, j_quadrature, shift_trace_criterion
 from volterrasim.csvtext import format_rows
@@ -32,7 +32,7 @@ from volterrasim.processes import CumulantSpec, Ensemble, GridSpec, \
     rosenblatt_sigma, rosenblatt_tail_bound, simulate, simulate_fbm, \
     simulate_rosenblatt
 from volterrasim.rng import normal_matrix, path_keys, substream
-from volterrasim.suites import default_equation
+from volterrasim.suites import SUITES, default_equation
 
 from support import generic_fbm_clone
 
@@ -173,7 +173,7 @@ def _fresh_stdout(code):
 def test_light_modules_load_no_scipy():
     # the package root imports nothing, so these modules load alone
     code = ("import sys, volterrasim.errors, volterrasim.rng, "
-            "volterrasim.csvtext\n"
+            "volterrasim.csvtext, volterrasim.blas\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert _fresh_stdout(code).strip() == "[]"
 
@@ -197,24 +197,14 @@ def test_package_loads_no_scipy_integrate_optimize_or_fft():
 # outside (1/2, 1); a count must also not be 0, -1 or fractional; a seed,
 # stream or path index may be 0 but not negative or fractional; a time
 # must not be negative where the entry starts at 0.  Each refusal is a
-# ConfigError raised before the entry's heavy layers run; these are patched
-# to fail if reached.
+# ConfigError raised before any heavy layer runs (the heavy_layers fixture
+# patches them to fail if reached).
 NUMBER = (math.nan, math.inf, -math.inf)
 POSITIVE = NUMBER + (0.0, -1.0)
 TIME = NUMBER + (-1.0,)  # from 0
 HURST = NUMBER + (0.3, 0.5, 1.0, 1.2)  # H outside (1/2, 1)
 COUNT = NUMBER + (0, -1, 2.5)
 INDEX = NUMBER + (-1, 2.5)
-
-
-def _reached(*args, **kwargs):
-    raise AssertionError("a heavy layer ran")
-
-
-QUADRATURE = ((kernels, "_tanhsinh"), (criteria, "_j_levels"),
-              (processes, "_cyclic_sum"))
-NOISE = ((np.random, "Philox"), (diagnostics, "_energy_columns"))
-HEAVY = QUADRATURE + NOISE
 
 FBM = FbmKernel(0.7)
 GENERIC = generic_fbm_clone(0.7)
@@ -239,270 +229,217 @@ def _edges(x):
     return np.append(np.arange(40.0), x)
 
 
-# (entry and argument, the call, a value it accepts, the values it refuses,
-# the heavy layers); the solvers and the stochastic suites check their
-# equation's hypotheses by quadrature before they read paths and seed
+# (entry and argument, the call, a value it accepts, the values it refuses);
+# a stochastic suite's n_paths is good at its floor
 REFUSALS = [
-    ("check_hurst", check_hurst, 0.7, HURST, HEAVY),
-    ("check_finite", lambda x: check_finite("x", [1.0, x]), 1.0, NUMBER,
-     HEAVY),
+    ("check_hurst", check_hurst, 0.7, HURST),
+    ("check_finite", lambda x: check_finite("x", [1.0, x]), 1.0, NUMBER),
     # rng
-    ("path_keys seed", lambda x: path_keys(x, 0, 0, 2), 0, INDEX, HEAVY),
-    ("path_keys stream", lambda x: path_keys(0, x, 0, 2), 0, INDEX, HEAVY),
-    ("path_keys path_offset", lambda x: path_keys(0, 0, x, 2), 0, INDEX,
-     HEAVY),
-    ("path_keys n_paths", lambda x: path_keys(0, 0, 0, x), 2, INDEX, HEAVY),
-    ("normal_matrix seed", lambda x: normal_matrix(x, 0, 4, 2), 0, INDEX,
-     HEAVY),
-    ("normal_matrix stream", lambda x: normal_matrix(0, x, 4, 2), 0, INDEX,
-     HEAVY),
-    ("normal_matrix n_rows", lambda x: normal_matrix(0, 0, x, 2), 4, INDEX,
-     HEAVY),
-    ("normal_matrix n_paths", lambda x: normal_matrix(0, 0, 4, x), 2, INDEX,
-     HEAVY),
+    ("path_keys seed", lambda x: path_keys(x, 0, 0, 2), 0, INDEX),
+    ("path_keys stream", lambda x: path_keys(0, x, 0, 2), 0, INDEX),
+    ("path_keys path_offset", lambda x: path_keys(0, 0, x, 2), 0, INDEX),
+    ("path_keys n_paths", lambda x: path_keys(0, 0, 0, x), 2, INDEX),
+    ("normal_matrix seed", lambda x: normal_matrix(x, 0, 4, 2), 0, INDEX),
+    ("normal_matrix stream", lambda x: normal_matrix(0, x, 4, 2), 0, INDEX),
+    ("normal_matrix n_rows", lambda x: normal_matrix(0, 0, x, 2), 4, INDEX),
+    ("normal_matrix n_paths", lambda x: normal_matrix(0, 0, 4, x), 2, INDEX),
     ("normal_matrix path_offset", lambda x: normal_matrix(0, 0, 4, 2, x), 0,
-     INDEX, HEAVY),
-    ("substream seed", lambda x: substream(x, 0), 0, INDEX, HEAVY),
-    ("substream stream", lambda x: substream(0, x), 0, INDEX, HEAVY),
+     INDEX),
+    ("substream seed", lambda x: substream(x, 0), 0, INDEX),
+    ("substream stream", lambda x: substream(0, x), 0, INDEX),
     # processes
-    ("GridSpec t_min", lambda x: GridSpec(x, 1.0, 11), 0.0, NUMBER, HEAVY),
-    ("GridSpec t_max", lambda x: GridSpec(0.0, x, 11), 1.0, NUMBER, HEAVY),
-    ("GridSpec n_points", lambda x: GridSpec(0.0, 1.0, x), 11, COUNT + (1,),
-     HEAVY),
-    ("GridSpec.index_of t", GRID.index_of, 0.5, NUMBER, HEAVY),
-    ("Ensemble.at t", PATHS.at, 0.0, NUMBER, HEAVY),
-    ("simulate_fbm H", lambda x: simulate_fbm(GRID, x, 2, 0), 0.7, HURST,
-     HEAVY),
+    ("GridSpec t_min", lambda x: GridSpec(x, 1.0, 11), 0.0, NUMBER),
+    ("GridSpec t_max", lambda x: GridSpec(0.0, x, 11), 1.0, NUMBER),
+    ("GridSpec n_points", lambda x: GridSpec(0.0, 1.0, x), 11, COUNT + (1,)),
+    ("GridSpec.index_of t", GRID.index_of, 0.5, NUMBER),
+    ("Ensemble.at t", PATHS.at, 0.0, NUMBER),
+    ("simulate_fbm H", lambda x: simulate_fbm(GRID, x, 2, 0), 0.7, HURST),
     ("simulate_fbm n_paths", lambda x: simulate_fbm(GRID, 0.7, x, 0), 2,
-     COUNT, HEAVY),
-    ("simulate_fbm seed", lambda x: simulate_fbm(GRID, 0.7, 2, x), 0, INDEX,
-     HEAVY),
+     COUNT),
+    ("simulate_fbm seed", lambda x: simulate_fbm(GRID, 0.7, 2, x), 0, INDEX),
     ("simulate_fbm stream", lambda x: simulate_fbm(GRID, 0.7, 2, 0, x), 0,
-     INDEX, HEAVY),
+     INDEX),
     ("simulate_fbm path_offset",
-     lambda x: simulate_fbm(GRID, 0.7, 2, 0, 0, x), 0, INDEX, HEAVY),
+     lambda x: simulate_fbm(GRID, 0.7, 2, 0, 0, x), 0, INDEX),
     ("simulate_rosenblatt n_paths",
-     lambda x: simulate_rosenblatt(GRID, SCHEME, x, 0), 2, COUNT, HEAVY),
+     lambda x: simulate_rosenblatt(GRID, SCHEME, x, 0), 2, COUNT),
     ("simulate_rosenblatt seed",
-     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, x), 0, INDEX, HEAVY),
+     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, x), 0, INDEX),
     ("simulate_rosenblatt stream",
-     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, x), 0, INDEX, HEAVY),
+     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, x), 0, INDEX),
     ("simulate_rosenblatt path_offset",
-     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, 0, x), 0, INDEX,
-     HEAVY),
+     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, 0, x), 0, INDEX),
     ("simulate H", lambda x: simulate("fbm", GRID, x, 2, 0, 0, 0, 1e-3, 4),
-     0.7, HURST, HEAVY),
+     0.7, HURST),
     ("simulate n_paths",
-     lambda x: simulate("fbm", GRID, 0.7, x, 0, 0, 0, 1e-3, 4), 2, COUNT,
-     HEAVY),
+     lambda x: simulate("fbm", GRID, 0.7, x, 0, 0, 0, 1e-3, 4), 2, COUNT),
     ("simulate seed",
-     lambda x: simulate("fbm", GRID, 0.7, 2, x, 0, 0, 1e-3, 4), 0, INDEX,
-     HEAVY),
+     lambda x: simulate("fbm", GRID, 0.7, 2, x, 0, 0, 1e-3, 4), 0, INDEX),
     ("simulate stream",
-     lambda x: simulate("fbm", GRID, 0.7, 2, 0, x, 0, 1e-3, 4), 0, INDEX,
-     HEAVY),
+     lambda x: simulate("fbm", GRID, 0.7, 2, 0, x, 0, 1e-3, 4), 0, INDEX),
     ("simulate path_offset",
-     lambda x: simulate("fbm", GRID, 0.7, 2, 0, 0, x, 1e-3, 4), 0, INDEX,
-     HEAVY),
+     lambda x: simulate("fbm", GRID, 0.7, 2, 0, 0, x, 1e-3, 4), 0, INDEX),
     ("simulate tail_tol",
      lambda x: simulate("rosenblatt", GRID, 0.75, 2, 0, 0, 0, x, 4), 1e-3,
-     POSITIVE, HEAVY),
+     POSITIVE),
     ("simulate substeps",
      lambda x: simulate("rosenblatt", GRID, 0.75, 2, 0, 0, 0, 1e-3, x), 4,
-     COUNT, HEAVY),
-    ("rosenblatt_sigma H", rosenblatt_sigma, 0.75, HURST, HEAVY),
-    ("rosenblatt_normalizer H", rosenblatt_normalizer, 0.75, HURST, HEAVY),
+     COUNT),
+    ("rosenblatt_sigma H", rosenblatt_sigma, 0.75, HURST),
+    ("rosenblatt_normalizer H", rosenblatt_normalizer, 0.75, HURST),
     ("rosenblatt_tail_bound H", lambda x: rosenblatt_tail_bound(x, 1.0, 1.0),
-     0.75, HURST, HEAVY),
+     0.75, HURST),
     ("RosenblattScheme H", lambda x: RosenblattScheme(x, _edges(40.0), 1,
                                                       1e-3),
-     0.75, HURST, HEAVY),
+     0.75, HURST),
     ("RosenblattScheme y_edges",
-     lambda x: RosenblattScheme(0.75, _edges(x), 1, 1e-3), 40.0, NUMBER,
-     HEAVY),
+     lambda x: RosenblattScheme(0.75, _edges(x), 1, 1e-3), 40.0, NUMBER),
     ("RosenblattScheme substeps",
-     lambda x: RosenblattScheme(0.75, _edges(40.0), x, 1e-3), 1, COUNT,
-     HEAVY),
+     lambda x: RosenblattScheme(0.75, _edges(40.0), x, 1e-3), 1, COUNT),
     ("RosenblattScheme tail_tol",
-     lambda x: RosenblattScheme(0.75, _edges(40.0), 1, x), 1e-3, POSITIVE,
-     HEAVY),
+     lambda x: RosenblattScheme(0.75, _edges(40.0), 1, x), 1e-3, POSITIVE),
     ("RosenblattScheme.for_grid H",
-     lambda x: RosenblattScheme.for_grid(GRID, x), 0.75, HURST, HEAVY),
+     lambda x: RosenblattScheme.for_grid(GRID, x), 0.75, HURST),
     ("RosenblattScheme.for_grid tail_tol",
-     lambda x: RosenblattScheme.for_grid(GRID, 0.75, x), 1e-3, POSITIVE,
-     HEAVY),
+     lambda x: RosenblattScheme.for_grid(GRID, 0.75, x), 1e-3, POSITIVE),
     ("RosenblattScheme.for_grid substeps",
-     lambda x: RosenblattScheme.for_grid(GRID, 0.75, 1e-3, x), 4, COUNT,
-     HEAVY),
+     lambda x: RosenblattScheme.for_grid(GRID, 0.75, 1e-3, x), 4, COUNT),
     ("CumulantSpec start", lambda x: CumulantSpec(((x, 1.0),), (1.0,), 2),
-     0.0, NUMBER, HEAVY),
+     0.0, NUMBER),
     ("CumulantSpec end", lambda x: CumulantSpec(((0.0, x),), (1.0,), 2),
-     1.0, NUMBER, HEAVY),
+     1.0, NUMBER),
     ("CumulantSpec theta", lambda x: CumulantSpec(((0.0, 1.0),), (x,), 2),
-     1.0, NUMBER, HEAVY),
+     1.0, NUMBER),
     ("CumulantSpec order", lambda x: CumulantSpec(((0.0, 1.0),), (1.0,), x),
-     2, COUNT, HEAVY),
+     2, COUNT),
     ("rosenblatt_cumulant H", lambda x: rosenblatt_cumulant(UNIT, x), 0.75,
-     HURST, HEAVY),
+     HURST),
     ("rosenblatt_cumulant n_nodes",
-     lambda x: rosenblatt_cumulant(UNIT, 0.75, x), 64, COUNT, HEAVY),
+     lambda x: rosenblatt_cumulant(UNIT, 0.75, x), 64, COUNT),
     ("rosenblatt_cumulant rtol",
-     lambda x: rosenblatt_cumulant(UNIT, 0.75, 64, x), 5e-3, POSITIVE, HEAVY),
+     lambda x: rosenblatt_cumulant(UNIT, 0.75, 64, x), 5e-3, POSITIVE),
     # kernels
     ("VolterraKernel alpha",
-     lambda x: VolterraKernel(x, FBM.eval, FBM.deriv, 1.0), 0.2, POSITIVE,
-     HEAVY),
+     lambda x: VolterraKernel(x, FBM.eval, FBM.deriv, 1.0), 0.2, POSITIVE),
     ("VolterraKernel regularity_const",
-     lambda x: VolterraKernel(0.2, FBM.eval, FBM.deriv, x), 1.0, POSITIVE,
-     HEAVY),
-    ("fbm_normalizing_constant H", fbm_normalizing_constant, 0.7, HURST,
-     HEAVY),
-    ("FbmKernel H", FbmKernel, 0.7, HURST, HEAVY),
-    ("fbm_cov H", lambda x: fbm_cov(*RECT, x), 0.7, HURST, HEAVY),
+     lambda x: VolterraKernel(0.2, FBM.eval, FBM.deriv, x), 1.0, POSITIVE),
+    ("fbm_normalizing_constant H", fbm_normalizing_constant, 0.7, HURST),
+    ("FbmKernel H", FbmKernel, 0.7, HURST),
+    ("fbm_cov H", lambda x: fbm_cov(*RECT, x), 0.7, HURST),
     ("phi_quadrature u", lambda x: phi_quadrature(GENERIC, x, 1.0), 0.3,
-     NUMBER, HEAVY),
+     NUMBER),
     ("phi_quadrature v", lambda x: phi_quadrature(GENERIC, 0.3, x), 1.0,
-     NUMBER, HEAVY),
+     NUMBER),
     *[(f"{f.__name__} end {i}",
        lambda x, f=f, i=i: f(GENERIC, *RECT[:i], x, *RECT[i + 1:]), RECT[i],
-       NUMBER, HEAVY) for f in (cov_R, cov_R_quadrature) for i in range(4)],
-    ("gauss_legendre order", gauss_legendre, 8, COUNT, HEAVY),
+       NUMBER) for f in (cov_R, cov_R_quadrature) for i in range(4)],
+    ("gauss_legendre order", gauss_legendre, 8, COUNT),
     ("tanhsinh_sum a", lambda x: tanhsinh_sum("t", np.exp, x, 1.0), 0.0,
-     NUMBER, HEAVY),
+     NUMBER),
     ("tanhsinh_sum b", lambda x: tanhsinh_sum("t", np.exp, 0.0, x), 1.0,
-     NUMBER, HEAVY),
+     NUMBER),
     ("tanhsinh_sum rtol",
-     lambda x: tanhsinh_sum("t", np.exp, 0.0, 1.0, rtol=x), 1e-10, POSITIVE,
-     HEAVY),
+     lambda x: tanhsinh_sum("t", np.exp, 0.0, 1.0, rtol=x), 1e-10, POSITIVE),
     ("check_regularity u", lambda x: kernels.check_regularity(FBM, [(x, 0.0)]),
-     1.0, NUMBER, HEAVY),
+     1.0, NUMBER),
     ("check_regularity r", lambda x: kernels.check_regularity(FBM, [(1.0, x)]),
-     0.0, NUMBER, HEAVY),
+     0.0, NUMBER),
     # integration
     ("StepFunction breakpoint", lambda x: StepFunction([0.0, x], [1.0]), 1.0,
-     NUMBER, HEAVY),
+     NUMBER),
     ("StepFunction value", lambda x: StepFunction([0.0, 1.0], [x]), 1.0,
-     NUMBER, HEAVY),
+     NUMBER),
     ("definite_integral s", lambda x: definite_integral(np.exp, x, 1.0, PATHS),
-     0.0, NUMBER, HEAVY),
+     0.0, NUMBER),
     ("definite_integral t", lambda x: definite_integral(np.exp, 0.0, x, PATHS),
-     1.0, NUMBER, HEAVY),
-    ("definite_integral n_sub",
-     lambda x: definite_integral(np.exp, 0.0, 1.0, PATHS, x), 8, COUNT, HEAVY),
+     1.0, NUMBER),
     ("definite_integral integrand",
      lambda x: definite_integral(lambda r: np.full_like(r, x), 0.0, 1.0,
-                                 PATHS), 1.0, NUMBER, HEAVY),
+                                 PATHS), 1.0, NUMBER),
     ("check_law_symmetries t",
-     lambda x: check_law_symmetries(np.exp, x, PATHS), 1.0, NUMBER, HEAVY),
-    ("check_law_symmetries n_sub",
-     lambda x: check_law_symmetries(np.exp, 1.0, PATHS, x), 8, COUNT, HEAVY),
+     lambda x: check_law_symmetries(np.exp, x, PATHS), 1.0, NUMBER),
     ("check_law_symmetries seed",
-     lambda x: check_law_symmetries(np.exp, 1.0, PATHS, 8, x), 0, INDEX,
-     HEAVY),
+     lambda x: check_law_symmetries(np.exp, 1.0, PATHS, x), 0, INDEX),
     # diagnostics
     ("energy_statistic samples", lambda x: energy_statistic(_first(x), YS),
-     0.5, NUMBER, HEAVY),
+     0.5, NUMBER),
     ("energy_two_sample samples",
-     lambda x: energy_two_sample(XS, _first(x, YS)), 0.5, NUMBER, HEAVY),
+     lambda x: energy_two_sample(XS, _first(x, YS)), 0.5, NUMBER),
     ("energy_two_sample n_perm",
-     lambda x: energy_two_sample(XS, YS, n_perm=x), 20, COUNT, HEAVY),
+     lambda x: energy_two_sample(XS, YS, n_perm=x), 20, COUNT),
     ("energy_two_sample level",
      lambda x: energy_two_sample(XS, YS, level=x), 0.01,
-     POSITIVE + (1.0,), HEAVY),
+     POSITIVE + (1.0,)),
     ("energy_two_sample seed", lambda x: energy_two_sample(XS, YS, seed=x), 0,
-     INDEX, HEAVY),
+     INDEX),
     # evolution
-    ("NoiseSpec H", lambda x: NoiseSpec(("fbm",), x), 0.7, HURST, HEAVY),
+    ("NoiseSpec H", lambda x: NoiseSpec(("fbm",), x), 0.7, HURST),
     ("EquationSpec lambdas",
-     lambda x: EquationSpec([x], [[1.0]], ONE_MODE.noise), 1.0, NUMBER,
-     HEAVY),
+     lambda x: EquationSpec([x], [[1.0]], ONE_MODE.noise), 1.0, NUMBER),
     ("EquationSpec phi_matrix",
-     lambda x: EquationSpec([1.0], [[x]], ONE_MODE.noise), 1.0, NUMBER,
-     HEAVY),
+     lambda x: EquationSpec([1.0], [[x]], ONE_MODE.noise), 1.0, NUMBER),
     ("EquationSpec x0",
      lambda x: EquationSpec([1.0], [[1.0]], ONE_MODE.noise, x0=[x]), 0.5,
-     NUMBER, HEAVY),
+     NUMBER),
     ("solve_mild n_paths", lambda x: solve_mild(ONE_MODE, GRID, x, 0), 2,
-     COUNT, NOISE),
-    ("solve_mild seed", lambda x: solve_mild(ONE_MODE, GRID, 2, x), 0, INDEX,
-     NOISE),
+     COUNT),
+    ("solve_mild seed", lambda x: solve_mild(ONE_MODE, GRID, 2, x), 0, INDEX),
     ("solve_mild t_trunc",
-     lambda x: solve_mild(STATIONARY, GRID, 2, 0, t_trunc=x), 2.0, POSITIVE,
-     NOISE),
+     lambda x: solve_mild(STATIONARY, GRID, 2, 0, t_trunc=x), 2.0, POSITIVE),
     ("sample_x_infinity t_trunc",
-     lambda x: sample_x_infinity(ONE_MODE, x, 2, 0), 2.0, POSITIVE, NOISE),
+     lambda x: sample_x_infinity(ONE_MODE, x, 2, 0), 2.0, POSITIVE),
     ("sample_x_infinity n_paths",
-     lambda x: sample_x_infinity(ONE_MODE, 2.0, x, 0), 2, COUNT, NOISE),
+     lambda x: sample_x_infinity(ONE_MODE, 2.0, x, 0), 2, COUNT),
     ("sample_x_infinity seed",
-     lambda x: sample_x_infinity(ONE_MODE, 2.0, 2, x), 0, INDEX, NOISE),
+     lambda x: sample_x_infinity(ONE_MODE, 2.0, 2, x), 0, INDEX),
     ("sample_x_infinity dt",
-     lambda x: sample_x_infinity(ONE_MODE, 2.0, 2, 0, dt=x), 0.1, POSITIVE,
-     NOISE),
-    ("covariance_qt t", lambda x: covariance_qt(ONE_MODE, x), 1.0, TIME,
-     HEAVY),
-    ("covariance_g r", lambda x: covariance_g(ONE_MODE, x, 1.0), 1.0, TIME,
-     HEAVY),
-    ("covariance_g s", lambda x: covariance_g(ONE_MODE, 1.0, x), 1.0, TIME,
-     HEAVY),
+     lambda x: sample_x_infinity(ONE_MODE, 2.0, 2, 0, dt=x), 0.1, POSITIVE),
+    ("covariance_qt t", lambda x: covariance_qt(ONE_MODE, x), 1.0, TIME),
+    ("covariance_g r", lambda x: covariance_g(ONE_MODE, x, 1.0), 1.0, TIME),
+    ("covariance_g s", lambda x: covariance_g(ONE_MODE, 1.0, x), 1.0, TIME),
     # criteria
-    ("j_closed_form beta", lambda x: j_closed_form(x, 0.7), 1.7, NUMBER,
-     HEAVY),
-    ("j_closed_form H", lambda x: j_closed_form(1.7, x), 0.7, HURST, HEAVY),
-    ("j_quadrature beta", lambda x: j_quadrature(x, 0.7), 1.7, NUMBER, HEAVY),
-    ("j_quadrature H", lambda x: j_quadrature(1.7, x), 0.7, HURST, HEAVY),
+    ("j_closed_form beta", lambda x: j_closed_form(x, 0.7), 1.7, NUMBER),
+    ("j_closed_form H", lambda x: j_closed_form(1.7, x), 0.7, HURST),
+    ("j_quadrature beta", lambda x: j_quadrature(x, 0.7), 1.7, NUMBER),
+    ("j_quadrature H", lambda x: j_quadrature(1.7, x), 0.7, HURST),
     ("j_quadrature truncation", lambda x: j_quadrature(1.7, 0.7, x), 100.0,
-     POSITIVE, HEAVY),
+     POSITIVE),
     ("shift_trace_criterion beta", lambda x: shift_trace_criterion(x, 0.7),
-     1.7, NUMBER, HEAVY),
+     1.7, NUMBER),
     ("shift_trace_criterion H", lambda x: shift_trace_criterion(1.7, x), 0.7,
-     HURST, HEAVY),
-    ("hs_heat_norm_sq d", lambda x: hs_heat_norm_sq(x, 0.01), 1, COUNT,
-     HEAVY),
-    ("hs_heat_norm_sq r", lambda x: hs_heat_norm_sq(1, x), 0.01, POSITIVE,
-     HEAVY),
-    ("heat_admissibility d", lambda x: heat_admissibility(x, 0.7), 1, COUNT,
-     HEAVY),
-    ("heat_admissibility H", lambda x: heat_admissibility(1, x), 0.7, HURST,
-     HEAVY),
+     HURST),
+    ("hs_heat_norm_sq d", lambda x: hs_heat_norm_sq(x, 0.01), 1, COUNT),
+    ("hs_heat_norm_sq r", lambda x: hs_heat_norm_sq(1, x), 0.01, POSITIVE),
+    ("heat_admissibility d", lambda x: heat_admissibility(x, 0.7), 1, COUNT),
+    ("heat_admissibility H", lambda x: heat_admissibility(1, x), 0.7, HURST),
     # suites
-    ("default_equation H", default_equation, 0.7, HURST, HEAVY),
-    *[(f"{suite.__name__} {arg}", call, good, bad, NOISE)
-      for suite in (suites.suite_isometry, suites.suite_law_symmetry,
-                    suites.suite_stationarity, suites.suite_limit)
+    ("default_equation H", default_equation, 0.7, HURST),
+    *[(f"{suite.__name__} {arg}", call, good, bad)
+      for suite, n in ((suites.suite_isometry, SUITES["isometry"]),
+                       (suites.suite_law_symmetry, SUITES["law-symmetry"]),
+                       (suites.suite_stationarity, SUITES["stationarity"]),
+                       (suites.suite_limit, SUITES["limit"]))
       for arg, call, good, bad in (
-          ("H", lambda x, s=suite: s(x, 60, 0), 0.7, HURST),
-          ("n_paths", lambda x, s=suite: s(0.7, x, 0), 60, COUNT),
-          ("seed", lambda x, s=suite: s(0.7, 60, x), 0, INDEX))],
+          ("H", lambda x, s=suite, n=n: s(x, n, 0), 0.7, HURST),
+          ("n_paths", lambda x, s=suite: s(0.7, x, 0), n, COUNT + (n - 1,)),
+          ("seed", lambda x, s=suite, n=n: s(0.7, n, x), 0, INDEX))],
 ]
 
 
-@pytest.fixture
-def heavy_layers(monkeypatch):
-    """Patch the given layers to fail if reached."""
-    def patch(layers):
-        for owner, name in layers:
-            monkeypatch.setattr(owner, name, _reached)
-    return patch
-
-
-@pytest.mark.parametrize("call, value, heavy", [
-    pytest.param(call, value, heavy, id=f"{entry}-{value!r}")
-    for entry, call, _, bad, heavy in REFUSALS for value in bad])
+@pytest.mark.parametrize("call, value", [
+    pytest.param(call, value, id=f"{entry}-{value!r}")
+    for entry, call, _, bad in REFUSALS for value in bad])
 def test_bad_input_is_refused_before_any_heavy_layer(heavy_layers, call,
-                                                     value, heavy):
-    heavy_layers(heavy)
+                                                     value):
     with pytest.raises(ConfigError):
         call(value)
 
 
-@pytest.mark.parametrize("call, good, heavy",
-                         [pytest.param(call, good, heavy, id=entry)
-                          for entry, call, good, _, heavy in REFUSALS])
-def test_the_table_refuses_only_its_bad_values(heavy_layers, call, good,
-                                               heavy):
+@pytest.mark.parametrize("call, good", [
+    pytest.param(call, good, id=entry) for entry, call, good, _ in REFUSALS])
+def test_the_table_refuses_only_its_bad_values(heavy_layers, call, good):
     # an accepted value returns or reaches a heavy layer: the table's
     # refusals come from the values it marks bad, not from its calls
-    heavy_layers(heavy)
     try:
         call(good)
     except AssertionError as exc:
@@ -540,9 +477,6 @@ ALLOWED = {
     "normal_matrix and path_keys with no rows or no paths":
         (lambda: (normal_matrix(0, 0, 0, 2), normal_matrix(0, 0, 4, 0)),
          "an empty draw"),
-    "StepFunction at a NaN time":
-        (lambda: StepFunction([0.0, 1.0], [1.0])(math.nan),
-         "a NaN lies in no step, where the function is 0"),
     "j_closed_form and shift_trace_criterion at the threshold":
         (lambda: (j_closed_form(1.2, 0.7), shift_trace_criterion(1.2, 0.7)),
          "J is DIVERGENT for beta <= H + 1/2, as documented"),
@@ -569,6 +503,7 @@ NO_CALLER_NUMBERS = {
     "covariance_q_infinity": "takes a spec",
     "check_H": "takes a spec",
     "check_limit_condition": "takes a spec",
+    "one_blas_thread": "takes nothing",
     "suite_kernel": "takes nothing",
     "suite_criteria": "takes nothing",
 }
@@ -588,8 +523,8 @@ def test_the_table_covers_every_public_entry():
         [row[0] for row in REFUSALS] + list(HURST_ENTRY_POINTS)
         + list(ALLOWED) + list(NO_CALLER_NUMBERS))))
     entries = []
-    for module in (errors, rng, csvtext, processes, kernels, integration,
-                   diagnostics, evolution, criteria, suites):
+    for module in (errors, rng, csvtext, blas, processes, kernels,
+                   integration, diagnostics, evolution, criteria, suites):
         for name, obj in vars(module).items():
             if name.startswith("_") or not callable(obj) \
                     or getattr(obj, "__module__", None) != module.__name__:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -433,6 +436,28 @@ class TestStreamedConvolution:
             finally:
                 tracemalloc.stop()
         assert extra[8] - extra[2] < 2 * 201 * 256 * 8
+
+    def test_bytes_independent_of_blas_threads(self):
+        # the convolution is a GEMM, whose reduction order OpenBLAS picks by
+        # shape and thread count: unheld, 2 threads moved the last bits of
+        # this solve_mild
+        code = (
+            "import hashlib, numpy as np\n"
+            "from volterrasim.evolution import sample_x_infinity, solve_mild\n"
+            "from volterrasim.processes import GridSpec\n"
+            "from volterrasim.suites import default_equation\n"
+            "spec = default_equation(0.7, x0='x-infinity')\n"
+            "a = solve_mild(spec, GridSpec(0.0, 2.0, 201), 32, 1, 2.0)\n"
+            "b = sample_x_infinity(spec, 5.0, 32, 2)\n"
+            "print(hashlib.md5(a.values.tobytes() + b.tobytes()).hexdigest())\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                    PYTHONPATH=os.path.abspath(src))).stdout
+            for threads in ("1", "2")}
+        assert digests["1"] == digests["2"]
 
 
 class TestXInfinity:
