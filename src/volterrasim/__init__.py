@@ -14,6 +14,8 @@ Submodules:
 - criteria: the worked examples (shift-semigroup threshold, heat
   equation admissibility).
 - suites: the named verification suites behind `volterrasim verify`.
+- blas: one_blas_thread, which holds every OpenBLAS in the process at
+  one thread, so that no value depends on the thread count.
 - errors: the package's exception types and its shared checks (the
   Hurst range, finiteness, counts, quadrature error estimates).
 - cli: the `volterrasim` command-line tool.

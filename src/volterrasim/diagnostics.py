@@ -15,6 +15,7 @@ from .rng import substream
 
 ROW_BLOCK = 128  # distance-matrix rows made and used together
 MIN_OBSERVATIONS = 50  # the fewest rows energy_two_sample takes per sample
+N_PERM = 200  # shuffles that calibrate energy_two_sample's p-value
 
 
 @dataclass(frozen=True)
@@ -86,34 +87,30 @@ def _energy_columns(Z, in_x):
     return 2.0 * (sxy / (nx * ny)) - dxx - dyy
 
 
-def energy_two_sample(X, Y, n_perm: int = 200, level: float = 0.01,
+def energy_two_sample(X, Y, level: float = 0.01,
                       seed: int = 0) -> TwoSampleReport:
     """Permutation-calibrated energy test; deterministic given seed.
 
     Rows are observations.  Distances are computed once.  The observed
-    labelling and the n_perm cumulative shuffles of substream(seed, 0)
+    labelling and the N_PERM cumulative shuffles of substream(seed, 0)
     fill the rows of one 0/1 indicator matrix, and the products of the
     distance matrix's row blocks with its transpose give the statistic
     of every labelling (see _energy_columns).  The p-value counts the
     shuffles whose statistic reaches the observed one.
     """
-    _check_count("n_perm", n_perm)
     if not 0.0 < level < 1.0:
         raise ConfigError("need 0 < level < 1")
     Z, nx = _stack(X, Y)
     ny = len(Z) - nx
     _check_count("observations per sample", min(nx, ny), MIN_OBSERVATIONS)
-    if (Z == Z[0]).all():
-        # both samples the same constant: laws trivially equal
-        return TwoSampleReport(0.0, 1.0, n_perm, level)
     rng = substream(seed, 0)
     labels = np.arange(nx + ny)
-    in_x = np.zeros((n_perm + 1, nx + ny))
+    in_x = np.zeros((N_PERM + 1, nx + ny))
     in_x[0, :nx] = 1.0
-    for k in range(1, n_perm + 1):
+    for k in range(1, N_PERM + 1):
         rng.shuffle(labels)
         in_x[k, labels[:nx]] = 1.0
     stats = _energy_columns(Z, in_x.T)
     count = np.count_nonzero(stats[1:] >= stats[0])
-    p = (count + 1) / (n_perm + 1)
-    return TwoSampleReport(float(stats[0]), float(p), n_perm, level)
+    p = (count + 1) / (N_PERM + 1)
+    return TwoSampleReport(float(stats[0]), float(p), N_PERM, level)

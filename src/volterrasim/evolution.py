@@ -53,13 +53,16 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class EquationSpec:
-    """dX = A X dt + Phi dB with diagonal A = -diag(lambdas)."""
+    """dX = A X dt + Phi dB with diagonal A = -diag(lambdas), lambdas >= 0.
+
+    A zero mode has a mild solution but no limiting measure: only
+    x_infinity, with it x0 = "x-infinity", and q_infinity need lambda > 0.
+    """
 
     lambdas: np.ndarray
     phi_matrix: np.ndarray
     noise: NoiseSpec
     x0: object = None  # None (zero) | "x-infinity" | one value per mode
-    allow_unstable: bool = False
 
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lambdas, float))
@@ -68,9 +71,8 @@ class EquationSpec:
             raise ConfigError(
                 f"Phi must be {len(lam)}x{self.noise.n_components}, got {Phi.shape}")
         check_finite("lambdas and Phi", lam, Phi)
-        if np.any(lam < 0) or (np.any(lam == 0) and not self.allow_unstable):
-            raise ConfigError(
-                "lambdas must be positive (set allow_unstable for zero modes)")
+        if np.any(lam < 0):
+            raise ConfigError("lambdas must be >= 0")
         lam.setflags(write=False)
         Phi.setflags(write=False)
         object.__setattr__(self, "lambdas", lam)
@@ -123,32 +125,33 @@ def _convolve_noise(spec: EquationSpec, times: np.ndarray, grid: GridSpec,
     Noise component k, simulated on grid with stream k, is read one block
     of PATH_BLOCK paths at a time: a block's increments are added into its
     columns of every mode k drives, and dropped.  Each mode sums its terms
-    in ascending k; its exponential weights are built at its first nonzero
-    Phi entry and dropped after its last.  It runs at one BLAS thread, so
-    that no value depends on the thread count.
+    in ascending k; the exponential weights of the modes k drives are
+    built before its first block and dropped after its last.  It runs at
+    one BLAS thread, so that no value depends on the thread count.
     """
     Phi = spec.phi_matrix
-    last = {n: row.nonzero()[0][-1] for n, row in enumerate(Phi) if row.any()}
-    weights = {}
     out = np.zeros((len(times), spec.n_modes, n_paths))
     for k, fam in enumerate(spec.noise.families):
         driven = Phi[:, k].nonzero()[0]
-        weights |= {n: _exp_cell_averages(spec.lambdas[n], times, grid.times)
-                    for n in driven if n not in weights}
+        weights = {n: _exp_cell_averages(spec.lambdas[n], times, grid.times)
+                   for n in driven}
         for p0, block in _blocks(fam, grid, spec.noise.H, n_paths, seed, k,
                                  0, TAIL_TOL, SUBSTEPS):
             d = np.diff(block, axis=0)
             for n in driven:
                 out[:, n, p0:p0 + d.shape[1]] += Phi[n, k] * (weights[n] @ d)
-        weights = {n: w for n, w in weights.items() if last[n] > k}
+        del weights  # before the next component's are built
     return out
 
 
-def _past_steps(t_trunc: float, dt: float) -> int:
-    """Whole steps of dt in the truncated past [-t_trunc, 0]."""
+def _past_steps(spec: EquationSpec, t_trunc: float, dt: float) -> int:
+    """Whole steps of dt in the truncated past [-t_trunc, 0] of x_infinity,
+    which must exist (check_limit_condition)."""
     if not 0.0 < dt <= t_trunc < math.inf:  # nan fails
         raise ConfigError(f"need a finite t_trunc and 0 < dt <= t_trunc, "
                           f"got t_trunc={t_trunc}, dt={dt}")
+    if not check_limit_condition(spec)[1]:
+        raise ConfigError("limiting-measure condition fails; x_infinity undefined")
     return int(round(t_trunc / dt))
 
 
@@ -161,7 +164,8 @@ def solve_mild(spec: EquationSpec, grid: GridSpec, n_paths: int, seed: int,
     For x0 = "x-infinity" the noise is simulated jointly on
     [-t_trunc, t_max] and x_infinity = int_{-t_trunc}^0 S(-u) Phi dB_u is
     built from the same paths, so the solution's dependence on the past
-    is preserved; t_trunc must then be finite and at least one grid step.
+    is preserved; t_trunc must then be finite and at least one grid step,
+    and x_infinity must exist.
     The noise is streamed in blocks of paths (_convolve_noise), so a
     solve holds no other array of every path than its result.
     """
@@ -179,7 +183,7 @@ def _mild_values(spec: EquationSpec, grid: GridSpec, times: np.ndarray,
     _check_count("seed", seed, 0)
     sim_grid = grid
     if isinstance(spec.x0, str):
-        n_past = _past_steps(t_trunc, grid.dt)
+        n_past = _past_steps(spec, t_trunc, grid.dt)
         sim_grid = GridSpec(-n_past * grid.dt, grid.t_max,
                             n_past + grid.n_points)
     check_H(spec)  # raises unless the Hypothesis-(H) integral converges
@@ -198,12 +202,9 @@ def sample_x_infinity(spec: EquationSpec, t_trunc: float, n_paths: int,
     The noise is streamed in blocks of paths (_convolve_noise): beyond
     the result, memory grows with T / dt by one block, not with n_paths.
     """
-    n_steps = _past_steps(t_trunc, dt)
     n_paths = _check_count("n_paths", n_paths)
     _check_count("seed", seed, 0)
-    if not check_limit_condition(spec)[1]:
-        raise ConfigError("limiting-measure condition fails; x_infinity undefined")
-    grid = GridSpec(-t_trunc, 0.0, n_steps + 1)
+    grid = GridSpec(-t_trunc, 0.0, _past_steps(spec, t_trunc, dt) + 1)
     return _convolve_noise(spec, np.zeros(1), grid, n_paths, seed)[0]
 
 

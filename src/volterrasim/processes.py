@@ -26,6 +26,8 @@ from .rng import normal_matrix
 
 PROCESSES = ("fbm", "rosenblatt")
 PATH_BLOCK = 32  # path columns drawn and transformed together
+CUMULANT_NODES = 512  # rosenblatt_cumulant's lattice cells
+CUMULANT_RTOL = 5e-3  # and the relative error it accepts
 
 
 @dataclass(frozen=True)
@@ -154,8 +156,8 @@ def _circulant_sqrt(row: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(eig, 0.0) / len(row))
 
 
-def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
-                 stream: int = 0, path_offset: int = 0) -> Ensemble:
+def simulate_fbm(grid: GridSpec, H: float, n_paths: int,
+                 seed: int) -> Ensemble:
     """Gaussian ensemble with the exact two-sided fBm covariance on the grid.
 
     Fractional Gaussian noise on the grid's steps comes from circulant
@@ -164,13 +166,12 @@ def simulate_fbm(grid: GridSpec, H: float, n_paths: int, seed: int,
     FFT is a stationary sequence with the fGn autocovariance.  The path
     is its cumulative sum, anchored at t = 0, which the grid must hold.
 
-    Path p is a deterministic function of (seed, stream, p): the FFTs act
+    Path p is a deterministic function of (seed, p): the FFTs act
     on each column alone (contiguous, as normal_matrix lays paths out) and
     paths are drawn in blocks of PATH_BLOCK, so results depend neither on
     how paths are scheduled across workers nor on the BLAS thread count.
     """
-    return _collect(grid, n_paths, _fbm_blocks(grid, H, n_paths, seed,
-                                               stream, path_offset))
+    return _collect(grid, n_paths, _fbm_blocks(grid, H, n_paths, seed, 0, 0))
 
 
 def _fbm_blocks(grid, H, n_paths, seed, stream, path_offset):
@@ -410,8 +411,7 @@ class _ChaosProjection:
 
 
 def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
-                        n_paths: int, seed: int, stream: int = 0,
-                        path_offset: int = 0) -> Ensemble:
+                        n_paths: int, seed: int) -> Ensemble:
     """Second-chaos ensemble via the off-diagonal quadratic form.
 
     R_t = A_H * sum over refined time cells of (M_k^2 - |a_k|^2) du,
@@ -425,8 +425,8 @@ def simulate_rosenblatt(grid: GridSpec, scheme: RosenblattScheme,
     Paths are drawn and projected in blocks of PATH_BLOCK columns; each
     column is transformed alone, so a path does not depend on its block.
     """
-    return _collect(grid, n_paths, _rosenblatt_blocks(
-        grid, scheme, n_paths, seed, stream, path_offset))
+    return _collect(grid, n_paths, _rosenblatt_blocks(grid, scheme, n_paths,
+                                                      seed, 0, 0))
 
 
 def _rosenblatt_blocks(grid, scheme, n_paths, seed, stream, path_offset):
@@ -623,28 +623,25 @@ def _cyclic_sum(spec: CumulantSpec, H: float, edges: np.ndarray,
     return float(np.einsum("ij,ji->", B2, B2 if spec.order == 4 else B))
 
 
-def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
-                        rtol: float = 5e-3) -> float:
+def rosenblatt_cumulant(spec: CumulantSpec, H: float) -> float:
     """kappa_k = 2^(k-1) (k-1)! sigma^k * (cyclic multiple integral sum).
 
     The cyclic integral is computed on a cell-averaged link matrix and
     extrapolated in the known O(w^(2H-1)) near-diagonal rate from a mesh
     and its bisection; the coarse/fine discrepancy after extrapolation is
-    the error estimate.  The mesh is a uniform lattice of n_nodes cells
-    over the hull of the intervals plus their endpoints, so the link is
-    Toeplitz on all but the few cells an off-lattice endpoint cuts, and
-    order 2 costs O(n_nodes) powers (see _cyclic_sum).
+    the error estimate, which must be within CUMULANT_RTOL of the value.
+    The mesh is a uniform lattice of CUMULANT_NODES cells over the hull of
+    the intervals plus their endpoints, so the link is Toeplitz on all but
+    the few cells an off-lattice endpoint cuts, and order 2 costs
+    O(CUMULANT_NODES) powers (see _cyclic_sum).
     """
     check_hurst(H)
-    _check_count("n_nodes", n_nodes)
-    if not 0.0 < rtol < math.inf:
-        raise ConfigError(f"rtol must be a positive finite number, got {rtol!r}")
     if all(th == 0.0 for th in spec.thetas):
         return 0.0
-    # n_nodes lattice cells over the hull plus the endpoints; the fine
-    # mesh bisects every cell, each lattice cell at its fine-lattice point
+    # the lattice cells over the hull plus the endpoints; the fine mesh
+    # bisects every cell, each lattice cell at its fine-lattice point
     ends = np.unique(np.ravel(spec.intervals))
-    fine_lattice = np.linspace(ends[0], ends[-1], 2 * n_nodes + 1)
+    fine_lattice = np.linspace(ends[0], ends[-1], 2 * CUMULANT_NODES + 1)
     lattice = fine_lattice[::2]
     coarse = np.union1d(lattice, ends)
     cell = _lattice_cells(coarse, lattice)
@@ -655,8 +652,8 @@ def rosenblatt_cumulant(spec: CumulantSpec, H: float, n_nodes: int = 512,
     p = 2.0 * H - 1.0
     r = 2.0 ** (-p)
     s_extrap = (s_fine - r * s_coarse) / (1.0 - r)
-    check_estimate("cyclic integral", s_extrap, abs(s_extrap - s_fine), rtol,
-                   rtol * 1e-12)
+    check_estimate("cyclic integral", s_extrap, abs(s_extrap - s_fine),
+                   CUMULANT_RTOL, CUMULANT_RTOL * 1e-12)
     k = spec.order
     sig = rosenblatt_sigma(H)
     return 2.0 ** (k - 1) * math.factorial(k - 1) * sig ** k * s_extrap

@@ -69,7 +69,7 @@ def test_hurst_range_is_one_config_error(entry, H):
 
 # Each former tolerance site: its (rtol, atol), and the right-hand side of
 # "raise when err > ..." as the site wrote it before the shared check.
-# rosenblatt_cumulant is at its default rtol.
+# rosenblatt_cumulant is at its rtol, processes.CUMULANT_RTOL.
 SITES = {
     "phi_quadrature": (1e-6, 1e-12, lambda v: max(1e-6 * abs(v), 1e-12)),
     "cov_R_quadrature": (1e-6, 1e-9, lambda v: max(1e-6 * abs(v), 1e-9)),
@@ -257,18 +257,10 @@ REFUSALS = [
     ("simulate_fbm n_paths", lambda x: simulate_fbm(GRID, 0.7, x, 0), 2,
      COUNT),
     ("simulate_fbm seed", lambda x: simulate_fbm(GRID, 0.7, 2, x), 0, INDEX),
-    ("simulate_fbm stream", lambda x: simulate_fbm(GRID, 0.7, 2, 0, x), 0,
-     INDEX),
-    ("simulate_fbm path_offset",
-     lambda x: simulate_fbm(GRID, 0.7, 2, 0, 0, x), 0, INDEX),
     ("simulate_rosenblatt n_paths",
      lambda x: simulate_rosenblatt(GRID, SCHEME, x, 0), 2, COUNT),
     ("simulate_rosenblatt seed",
      lambda x: simulate_rosenblatt(GRID, SCHEME, 2, x), 0, INDEX),
-    ("simulate_rosenblatt stream",
-     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, x), 0, INDEX),
-    ("simulate_rosenblatt path_offset",
-     lambda x: simulate_rosenblatt(GRID, SCHEME, 2, 0, 0, x), 0, INDEX),
     ("simulate H", lambda x: simulate("fbm", GRID, x, 2, 0, 0, 0, 1e-3, 4),
      0.7, HURST),
     ("simulate n_paths",
@@ -314,10 +306,6 @@ REFUSALS = [
      2, COUNT),
     ("rosenblatt_cumulant H", lambda x: rosenblatt_cumulant(UNIT, x), 0.75,
      HURST),
-    ("rosenblatt_cumulant n_nodes",
-     lambda x: rosenblatt_cumulant(UNIT, 0.75, x), 64, COUNT),
-    ("rosenblatt_cumulant rtol",
-     lambda x: rosenblatt_cumulant(UNIT, 0.75, 64, x), 5e-3, POSITIVE),
     # kernels
     ("VolterraKernel alpha",
      lambda x: VolterraKernel(x, FBM.eval, FBM.deriv, 1.0), 0.2, POSITIVE),
@@ -365,8 +353,6 @@ REFUSALS = [
      0.5, NUMBER),
     ("energy_two_sample samples",
      lambda x: energy_two_sample(XS, _first(x, YS)), 0.5, NUMBER),
-    ("energy_two_sample n_perm",
-     lambda x: energy_two_sample(XS, YS, n_perm=x), 20, COUNT),
     ("energy_two_sample level",
      lambda x: energy_two_sample(XS, YS, level=x), 0.01,
      POSITIVE + (1.0,)),

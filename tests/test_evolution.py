@@ -117,9 +117,7 @@ class TestSpecs:
             EquationSpec([1.0], [[1.0, 2.0]], noise)  # Phi shape
         with pytest.raises(ConfigError):
             EquationSpec([-1.0], [[1.0]], noise)
-        with pytest.raises(ConfigError):
-            EquationSpec([0.0], [[1.0]], noise)  # zero mode needs opt-in
-        EquationSpec([0.0], [[1.0]], noise, allow_unstable=True)
+        EquationSpec([0.0], [[1.0]], noise)  # a zero mode has a mild solution
 
     @pytest.mark.parametrize("x0", [
         [1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], "bogus", "x-Infinity", "1.5",
@@ -174,8 +172,7 @@ class TestClosedForms:
         assert ok and val == 0.0
 
     def test_limit_condition_unstable_mode(self):
-        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), 0.7),
-                            allow_unstable=True)
+        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), 0.7))
         val, ok = check_limit_condition(spec)
         assert not ok
         assert val == math.inf
@@ -298,7 +295,7 @@ class TestCovarianceExact:
 
     def test_q_infinity_needs_positive_lambdas(self):
         spec = EquationSpec([0.0, 1.0], [[1.0], [1.0]],
-                            NoiseSpec(("fbm",), 0.7), allow_unstable=True)
+                            NoiseSpec(("fbm",), 0.7))
         with pytest.raises(ConfigError):
             covariance_q_infinity(spec)
 
@@ -311,8 +308,7 @@ class TestCovarianceExact:
 
     def test_zero_mode_is_fbm_variance(self):
         H, t = 0.7, 1.7
-        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), H),
-                            allow_unstable=True)
+        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), H))
         assert covariance_qt(spec, t)[0, 0] == pytest.approx(t ** (2 * H),
                                                              rel=1e-10)
 
@@ -470,14 +466,14 @@ class TestXInfinity:
         assert abs(z[0].var() - q_inf) <= 4.0 * se + 0.02
 
     def test_requires_limit_condition(self):
-        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), 0.7),
-                            allow_unstable=True)
+        spec = EquationSpec([0.0], [[1.0]], NoiseSpec(("fbm",), 0.7))
         with pytest.raises(ConfigError):
             sample_x_infinity(spec, t_trunc=5.0, n_paths=10, seed=0)
 
 
 class TestTruncationInputs:
-    """Bad truncation inputs are refused before any noise is simulated."""
+    """Bad truncation inputs, and a stationary start where x_infinity does
+    not exist, are refused before any noise is simulated."""
 
     @pytest.fixture(autouse=True)
     def no_simulation(self, monkeypatch):
@@ -492,6 +488,14 @@ class TestTruncationInputs:
         with pytest.raises(ConfigError, match="t_trunc"):
             solve_mild(unit_spec(x0="x-infinity"), GridSpec(0.0, 1.0, 11),
                        200, seed=1, t_trunc=t_trunc)
+
+    def test_stationary_start_requires_limit_condition(self):
+        # a zero mode has a mild solution but no x_infinity to start from;
+        # the path would be labelled stationary and not be
+        spec = EquationSpec([0.0, 1.0], [[1.0], [1.0]],
+                            NoiseSpec(("fbm",), 0.7), x0="x-infinity")
+        with pytest.raises(ConfigError, match="x_infinity undefined"):
+            solve_mild(spec, GridSpec(0.0, 1.0, 11), 10, seed=0)
 
     @pytest.mark.parametrize("t_trunc, dt", [
         (25.0, -0.1), (25.0, 100.0), (25.0, 0.0), (25.0, math.nan),

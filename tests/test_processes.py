@@ -114,7 +114,7 @@ class TestFbm:
         a = simulate_fbm(g, 0.75, 10, seed=5)
         b = simulate_fbm(g, 0.75, 10, seed=5)
         assert np.array_equal(a.values, b.values)
-        tail = simulate_fbm(g, 0.75, 4, seed=5, path_offset=6)
+        tail = simulate("fbm", g, 0.75, 4, 5, 0, 6, 1e-3, 4)
         assert np.array_equal(a.values[:, 6:], tail.values)
 
     def test_seed_matters(self):
@@ -213,8 +213,8 @@ class TestRosenblatt:
 
     def test_determinism_and_offset(self, rosenblatt_ensemble):
         ens, scheme = rosenblatt_ensemble
-        again = simulate_rosenblatt(ens.grid, scheme, 3, seed=321,
-                                    path_offset=1)
+        again = simulate("rosenblatt", ens.grid, 0.75, 3, 321, 0, 1,
+                         scheme.tail_tol, scheme.substeps)
         assert np.array_equal(ens.values[:, 1:4], again.values)
 
     @pytest.mark.parametrize("edges", [None, np.concatenate([
@@ -236,7 +236,8 @@ class TestRosenblatt:
         prefix = np.vstack([np.zeros(n), np.cumsum(contrib, axis=0)])
         at_edges = prefix[::scheme.substeps]
         dense = rosenblatt_normalizer(0.75) * (at_edges - at_edges[grid.index_of(0.0)])
-        ens = simulate_rosenblatt(grid, scheme, n, seed=5, stream=2)
+        ens = processes._collect(grid, n, processes._rosenblatt_blocks(
+            grid, scheme, n, 5, 2, 0))
         assert np.max(np.abs(ens.values - dense)) <= 1e-9
 
     @pytest.mark.parametrize("grid, substeps, tail_tol", [
@@ -351,12 +352,14 @@ class TestCumulants:
         spec = CumulantSpec(intervals=((0.0, 1.0),), thetas=(1.0,), order=2)
         assert rosenblatt_cumulant(spec, 0.75) == pytest.approx(1.0, rel=1e-3)
 
-    def test_kappa2_scaling(self):
+    def test_kappa2_scaling(self, monkeypatch):
         # Var(R_2) = 2^{2H}
         H = 0.7
         spec = CumulantSpec(intervals=((0.0, 2.0),), thetas=(1.0,), order=2)
         # slower O(w^{2H-1}) rate at H = 0.7 needs a finer mesh
-        val = rosenblatt_cumulant(spec, H, n_nodes=1024, rtol=2e-2)
+        monkeypatch.setattr(processes, "CUMULANT_NODES", 1024)
+        monkeypatch.setattr(processes, "CUMULANT_RTOL", 2e-2)
+        val = rosenblatt_cumulant(spec, H)
         assert val == pytest.approx(2 ** (2 * H), rel=1e-3)
 
     def test_kappa3_positive(self):
@@ -421,15 +424,6 @@ class TestCumulants:
         spec = CumulantSpec(intervals, thetas, 2)
         assert rosenblatt_cumulant(spec, H) == pytest.approx(kappa2, rel=1e-12)
 
-    @pytest.mark.parametrize("kw", [
-        dict(n_nodes=0), dict(n_nodes=-5), dict(n_nodes=2.5),
-        dict(rtol=0.0), dict(rtol=-1e-3), dict(rtol=float("nan")),
-        dict(rtol=float("inf"))])
-    def test_argument_validation(self, kw):
-        spec = CumulantSpec(((0.0, 1.0),), (1.0,), 2)
-        with pytest.raises(ValueError):
-            rosenblatt_cumulant(spec, 0.75, **kw)
-
     def test_kappa4_value(self):
         # kappa_k = 2^(k-1) (k-1)! sum lambda^k for a second-chaos law, so
         # Cauchy-Schwarz puts kappa_4 in [3 kappa_3^2 / (2 kappa_2), 12 kappa_2^2]
@@ -442,11 +436,12 @@ class TestCumulants:
         k4_long = rosenblatt_cumulant(CumulantSpec(((0.0, 2.0),), (1.0,), 4), H)
         assert k4_long == pytest.approx(2.0 ** (4 * H) * k4, rel=1e-12)
 
-    def test_order2_memory_stays_linear(self):
+    def test_order2_memory_stays_linear(self, monkeypatch):
         spec = CumulantSpec(((0.0, 1.0),), (1.0,), 2)
+        monkeypatch.setattr(processes, "CUMULANT_NODES", 1024)
         tracemalloc.start()
         try:
-            rosenblatt_cumulant(spec, 0.75, n_nodes=1024)
+            rosenblatt_cumulant(spec, 0.75)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
