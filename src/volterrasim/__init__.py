@@ -10,7 +10,7 @@ Submodules:
 - integration: step-function stochastic integrals and the D-norm.
 - evolution: mild solutions of linear evolution equations, covariance
   operators, stationarity criteria.
-- diagnostics: the energy two-sample test.
+- diagnostics: the energy two-sample test, and the verify suites' table.
 - criteria: the worked examples (shift-semigroup threshold, heat
   equation admissibility).
 - suites: the named verification suites behind `volterrasim verify`.

@@ -18,6 +18,7 @@ from . import __version__
 from .blas import one_blas_thread
 from .errors import ConfigError, VolterraError, check_hurst
 from .csvtext import format_rows
+from .diagnostics import SUITES
 from .processes import PROCESSES, GridSpec, RosenblattScheme, simulate, \
     through_origin, write_csv
 
@@ -172,7 +173,7 @@ def cmd_verify(args) -> int:
     from . import suites
 
     check_hurst(args.H)
-    stochastic = suites.SUITES[args.suite] is not None
+    stochastic = SUITES[args.suite] is not None
     if stochastic:
         if args.seed is None:
             raise ConfigError("--seed is required for stochastic suites")
@@ -224,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run a named invariant suite")
-    from .suites import SUITES
-
     ver.add_argument("--suite", choices=SUITES, required=True)
     ver.add_argument("--H", type=float, default=0.7)
     ver.add_argument("--paths", type=positive_int, default=600)

@@ -64,9 +64,21 @@ J_ORDERS = (10, 8)
 
 
 def _jacobi01(order: int, a: float):
-    """Gauss-Jacobi (nodes, weights) on (0, 1) for the weight x^a, a > -1."""
-    x, w = special.roots_jacobi(order, 0.0, a)
-    return 0.5 * (x + 1.0), w * 0.5 ** (a + 1.0)
+    """Gauss-Jacobi (nodes, weights) on (0, 1) for the weight y^a, a > -1.
+
+    Golub and Welsch (Math. Comp. 23, 1969): the nodes are the
+    eigenvalues of the Jacobi matrix of the weight, the recurrence of
+    the Jacobi polynomials P_n^(0, a)(2y - 1), and each weight is the
+    weight's total 1/(a + 1) times the square of the first component of
+    the node's unit eigenvector.  Unlike special.roots_jacobi, numpy's
+    eigh loads no scipy.linalg.
+    """
+    n = np.arange(1.0, order)
+    s = 2.0 * n + a
+    diag = np.concatenate([[a / (a + 2.0)], a * a / (s * (s + 2.0))])
+    off = n * (n + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    y, v = np.linalg.eigh(np.diag(0.5 * (1.0 + diag)) + np.diag(off, -1))
+    return y, v[0] ** 2 / (a + 1.0)
 
 
 def _aitken(seq):

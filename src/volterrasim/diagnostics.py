@@ -8,7 +8,6 @@ package.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, _check_count, check_finite
 from .rng import substream
@@ -16,6 +15,14 @@ from .rng import substream
 ROW_BLOCK = 128  # distance-matrix rows made and used together
 MIN_OBSERVATIONS = 50  # the fewest rows energy_two_sample takes per sample
 N_PERM = 200  # shuffles that calibrate energy_two_sample's p-value
+# verify suite -> the least n_paths it runs on: MIN_OBSERVATIONS per
+# energy-test sample its paths are split into, 2 for isometry's variance,
+# None if it is deterministic; suites.suite_<name, - as _> runs it, looked
+# up so a patch is seen.  Kept beside the floor it is built from, so that
+# cli lists the suites without importing them.
+SUITES = {"kernel": None, "isometry": 2, "law-symmetry": 3 * MIN_OBSERVATIONS,
+          "stationarity": 2 * MIN_OBSERVATIONS, "limit": MIN_OBSERVATIONS,
+          "criteria": None}
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,9 @@ def _energy_columns(Z, in_x):
     its rows of the product and of the row sums, so it never exists
     whole.
     """
+    # here, not at the top: only an energy test needs scipy.spatial
+    from scipy.spatial.distance import cdist
+
     in_y = 1.0 - in_x
     nx = int(in_x[:, 0].sum())
     ny = len(Z) - nx

@@ -10,7 +10,7 @@ import numpy as np
 
 from .criteria import heat_admissibility, j_closed_form, j_quadrature, \
     shift_trace_criterion
-from .diagnostics import MIN_OBSERVATIONS, energy_statistic, \
+from .diagnostics import MIN_OBSERVATIONS, SUITES, energy_statistic, \
     energy_two_sample
 from .errors import _check_count
 from .evolution import SUBSTEPS, TAIL_TOL, EquationSpec, NoiseSpec, \
@@ -22,12 +22,6 @@ from .kernels import FbmKernel, check_regularity, phi_quadrature
 from .processes import GridSpec, simulate, simulate_fbm
 from .rng import substream
 
-# suite -> the least n_paths it runs on: MIN_OBSERVATIONS per energy-test
-# sample its paths are split into, 2 for isometry's variance, None if it is
-# deterministic; suite_<name, - as _> runs it, looked up so a patch is seen
-SUITES = {"kernel": None, "isometry": 2, "law-symmetry": 3 * MIN_OBSERVATIONS,
-          "stationarity": 2 * MIN_OBSERVATIONS, "limit": MIN_OBSERVATIONS,
-          "criteria": None}
 LIMIT_TIMES = (1.0, 2.0, 4.0, 8.0)
 LIMIT_EARLY = 0.24  # a grid time at which X_t must still differ from x_inf
 

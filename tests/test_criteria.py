@@ -1,8 +1,12 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import IntegrationWarning
 
 from volterrasim import criteria
@@ -154,6 +158,40 @@ class TestJQuadrature:
         res = j_quadrature(2.5, 0.75, truncation=1.0)
         assert res.converged
         assert abs(res.value - j_closed_form(2.5, 0.75)) <= res.error_estimate
+
+
+class TestJacobiRule:
+    # roots_jacobi's own weights drift from the exact ones as a nears -1
+    # (1.6e-11 relative at a = -0.995, order 12, against a 40-digit
+    # reference), so the grid stops at -0.99
+    @pytest.mark.parametrize("order", range(1, 13))
+    @pytest.mark.parametrize("a", [-0.99, -0.9, -0.5, 0.0, 0.4, 1.0, 2.2,
+                                   2.99])
+    def test_matches_roots_jacobi(self, order, a):
+        y, w = criteria._jacobi01(order, a)
+        x, wr = special.roots_jacobi(order, 0.0, a)
+        np.testing.assert_allclose(y, 0.5 * (x + 1.0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, wr * 0.5 ** (a + 1.0), rtol=1e-11)
+        assert w.sum() == pytest.approx(1.0 / (a + 1.0), rel=1e-14)
+
+    def test_bytes_independent_of_blas_threads(self):
+        # eigh is LAPACK, which runs on the process's OpenBLAS
+        code = ("import hashlib, numpy as np\n"
+                "from volterrasim.criteria import _jacobi01\n"
+                "h = hashlib.md5()\n"
+                "for order in range(1, 13):\n"
+                "    for a in np.linspace(-0.99, 2.99, 21):\n"
+                "        for part in _jacobi01(order, a):\n"
+                "            h.update(part.tobytes())\n"
+                "print(h.hexdigest())\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        digests = {
+            threads: subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                                    PYTHONPATH=os.path.abspath(src))).stdout
+            for threads in ("1", "2")}
+        assert digests["1"] == digests["2"]
 
 
 class TestShiftTraceCriterion:

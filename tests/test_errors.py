@@ -192,6 +192,48 @@ def test_package_loads_no_scipy_integrate_optimize_or_fft():
     assert unwanted == "[]"
 
 
+def test_only_an_energy_test_loads_scipy_spatial(tmp_path):
+    # scipy.spatial loads scipy.linalg and scipy.sparse: simulate, the
+    # deterministic suites and the package's imports need none of them, and
+    # simulate does not import the suites
+    out = str(tmp_path)
+    code = (
+        "import importlib, pkgutil, sys, numpy as np, volterrasim\n"
+        "from volterrasim import cli\n"
+        "def stage(name):\n"
+        "    heavy = sorted({m for m in sys.modules if m.split('.')[:2] in\n"
+        "        (['scipy', 'spatial'], ['scipy', 'linalg'],\n"
+        "         ['scipy', 'sparse'])} | ({'volterrasim.suites'} &\n"
+        "        set(sys.modules)))\n"
+        "    print('@', name, heavy)\n"
+        "cli.main(['simulate', '--process', 'fbm', '--H', '0.7', '--grid',\n"
+        f"          '-1:1:21', '--paths', '3', '--seed', '1', '--out', {out!r},\n"
+        "          '--workers', '1'])\n"
+        "stage('simulate-fbm')\n"
+        "cli.main(['simulate', '--process', 'rosenblatt', '--H', '0.75',\n"
+        "          '--grid', '0:1:11', '--paths', '3', '--seed', '1',\n"
+        f"          '--out', {out!r}, '--force', '--workers', '1'])\n"
+        "stage('simulate-rosenblatt')\n"
+        "for m in pkgutil.iter_modules(volterrasim.__path__):\n"
+        "    importlib.import_module('volterrasim.' + m.name)\n"
+        "stage('import')\n"
+        "for suite in ('kernel', 'criteria'):\n"
+        "    cli.main(['verify', '--suite', suite])\n"
+        "    stage('verify-' + suite)\n"
+        "from volterrasim.diagnostics import energy_two_sample\n"
+        "x = np.arange(100.0).reshape(50, 2)\n"
+        "energy_two_sample(x, x + 1.0)\n"
+        "print('@ energy', 'scipy.spatial.distance' in sys.modules)\n")
+    stages = [line.split(" ", 2)[1:] for line in _fresh_stdout(code).splitlines()
+              if line.startswith("@ ")]
+    assert stages == [
+        ["simulate-fbm", "[]"], ["simulate-rosenblatt", "[]"],
+        ["import", "['volterrasim.suites']"],
+        ["verify-kernel", "['volterrasim.suites']"],
+        ["verify-criteria", "['volterrasim.suites']"],
+        ["energy", "True"]]
+
+
 # The refusal table: every public entry that takes caller values, run with
 # each value it must refuse.  A number must not be NaN or +-inf, nor an H
 # outside (1/2, 1); a count must also not be 0, -1 or fractional; a seed,
