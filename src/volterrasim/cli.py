@@ -1,9 +1,9 @@
 """Command-line front end: reproducible simulation and verification runs.
 
 Exit codes: 0 success, 1 suite failure, 2 usage or configuration error.
-Every stochastic command requires --seed, and every run writes a
-manifest from which it can be reproduced byte-for-byte (no timestamps,
-all defaults spelled out).
+Every stochastic command requires --seed.  simulate, and verify with
+--out, write a manifest from which the run can be reproduced
+byte-for-byte (no timestamps, all defaults spelled out).
 """
 
 import argparse
@@ -22,7 +22,7 @@ from .diagnostics import SUITES
 from .processes import PROCESSES, GridSpec, RosenblattScheme, simulate, \
     through_origin, write_csv
 
-MANIFEST_SCHEMA = "1"
+MANIFEST_SCHEMA = "2"
 # The simulate pool forks on Linux: a forked worker starts without
 # importing the package again, which a spawned or forkserver one must do.
 # On 2 CPUs the benchmark's three simulate commands took about 2 s with
@@ -58,7 +58,7 @@ def int_at_least(low: int, kind: str):
 
 
 positive_int = int_at_least(1, "positive")  # counts
-nonnegative_int = int_at_least(0, "non-negative")  # seeds and stream ids
+nonnegative_int = int_at_least(0, "non-negative")  # seeds
 
 
 def default_workers() -> int:
@@ -69,12 +69,9 @@ def default_workers() -> int:
 @contextlib.contextmanager
 def simulate_pool(n: int):
     """n worker processes for simulate jobs (see FORK_POOL)."""
-    if not FORK_POOL:
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            yield pool
-        return
-    with one_blas_thread(), ProcessPoolExecutor(
-            max_workers=n, mp_context=multiprocessing.get_context("fork")) as pool:
+    fork = multiprocessing.get_context("fork") if FORK_POOL else None
+    with one_blas_thread(), ProcessPoolExecutor(max_workers=n,
+                                                mp_context=fork) as pool:
         yield pool
 
 
@@ -133,11 +130,11 @@ def cmd_simulate(args) -> int:
     csv_path, manifest_path = out_paths(args, "ensemble.csv", "manifest.txt")
     chunk = -(-args.paths // args.workers)  # ceil division
     jobs = [(args.process, grid, args.H, min(chunk, args.paths - offset),
-             args.seed, args.stream, offset, args.tail_tol, args.substeps)
+             args.seed, 0, offset, args.tail_tol, args.substeps)
             for offset in range(0, args.paths, chunk)]
-    # path identity depends only on (seed, stream, path index), and the
-    # text of a value is the same in every process, so the CSV is
-    # independent of the split
+    # path identity depends only on (seed, path index), and the text of a
+    # value is the same in every process, so the CSV is independent of the
+    # split
     if len(jobs) == 1:
         write_csv(csv_path, grid, args.paths,
                   [format_rows(simulate(*jobs[0]).values)])
@@ -159,7 +156,6 @@ def cmd_simulate(args) -> int:
         "grid": args.grid,
         "paths": args.paths,
         "seed": args.seed,
-        "stream": args.stream,
         "tail_tol": repr(args.tail_tol),
         "substeps": args.substeps,
         "workers": "any (results worker-independent)",
@@ -210,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--grid", required=True, help="t_min:t_max:n_points")
     sim.add_argument("--paths", type=positive_int, required=True)
     sim.add_argument("--seed", type=nonnegative_int, required=True)
-    sim.add_argument("--stream", type=nonnegative_int, default=0)
     sim.add_argument("--tail-tol", type=float, default=1e-3,
                      help="Rosenblatt truncation variance bound")
     sim.add_argument("--substeps", type=positive_int, default=4,

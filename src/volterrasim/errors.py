@@ -25,10 +25,6 @@ class FactorizationError(VolterraError):
     """A covariance's circulant embedding is not positive semidefinite."""
 
 
-class AlignmentError(VolterraError):
-    """A breakpoint or evaluation time is too far from the sample grid."""
-
-
 class ConsistencyError(VolterraError):
     """Two independent computations of the same quantity disagree."""
 

@@ -67,6 +67,8 @@ class EquationSpec:
     def __post_init__(self):
         lam = np.atleast_1d(np.asarray(self.lambdas, float))
         Phi = np.atleast_2d(np.asarray(self.phi_matrix, float))
+        if lam.ndim != 1:
+            raise ConfigError(f"lambdas must be 1-D, got shape {lam.shape}")
         if Phi.shape != (len(lam), self.noise.n_components):
             raise ConfigError(
                 f"Phi must be {len(lam)}x{self.noise.n_components}, got {Phi.shape}")
@@ -186,7 +188,6 @@ def _mild_values(spec: EquationSpec, grid: GridSpec, times: np.ndarray,
         n_past = _past_steps(spec, t_trunc, grid.dt)
         sim_grid = GridSpec(-n_past * grid.dt, grid.t_max,
                             n_past + grid.n_points)
-    check_H(spec)  # raises unless the Hypothesis-(H) integral converges
     out = _convolve_noise(spec, times, sim_grid, n_paths, seed)
     if isinstance(spec.x0, np.ndarray):
         decay = np.exp(-np.outer(times, spec.lambdas))  # (n_t, n_modes)
@@ -287,7 +288,8 @@ def _hs_power_integral(spec: EquationSpec, upper: float, what: str) -> float:
 
 
 def check_H(spec: EquationSpec) -> tuple:
-    """(value, finite?) of int_0^1 |S(r) Phi|_HS^(2/(1+2 alpha)) dr."""
+    """(value, finite?) of int_0^1 |S(r) Phi|_HS^(2/(1+2 alpha)) dr: condition
+    (H), which |S(r) Phi|_HS <= |Phi|_HS makes hold for every spec."""
     val = _hs_power_integral(spec, 1.0, "check_H quadrature")
     return val, bool(np.isfinite(val))
 

@@ -27,8 +27,6 @@ class StepFunction:
     def __init__(self, breakpoints, values):
         bp = np.asarray(breakpoints, float)
         vals = np.atleast_2d(np.asarray(values, float))
-        if vals.shape[0] == 1 and len(bp) - 1 != 1:
-            vals = vals.reshape(len(bp) - 1, -1)
         check_finite("breakpoints and step values", bp, vals)
         if np.any(np.diff(bp) <= 0):
             raise ConfigError("breakpoints must be strictly increasing")
@@ -138,7 +136,7 @@ def integrate_step(f: StepFunction, paths) -> np.ndarray:
     """Pathwise Riemann-Stieltjes sum; shape (dim, n_paths).
 
     Breakpoints must sit on the path grid up to the dt/2 snapping
-    tolerance, else AlignmentError.
+    tolerance, else ConfigError.
     """
     vals = paths.values
     idx = [paths.grid.index_of(t) for t in f.breakpoints]

@@ -19,8 +19,8 @@ import numpy as np
 from scipy import special
 
 from . import csvtext
-from .errors import AlignmentError, ConfigError, FactorizationError, \
-    _check_count, check_estimate, check_finite, check_hurst
+from .errors import ConfigError, FactorizationError, _check_count, \
+    check_estimate, check_finite, check_hurst
 from .kernels import fbm_cov
 from .rng import normal_matrix
 
@@ -59,7 +59,7 @@ class GridSpec:
         return t
 
     def index_of(self, t: float) -> int:
-        """Nearest grid index; error if farther than dt/2 (plus slack)."""
+        """Nearest grid index; ConfigError beyond dt/2 (plus slack)."""
         check_finite("time", t)
         i = int(round((t - self.t_min) / self.dt))
         i = min(max(i, 0), self.n_points - 1)
@@ -67,7 +67,7 @@ class GridSpec:
         if abs(t_i) < 1e-12:
             t_i = 0.0
         if abs(t_i - t) > 0.5 * self.dt * (1.0 + 1e-9):
-            raise AlignmentError(f"time {t} is off-grid (dt={self.dt})")
+            raise ConfigError(f"time {t} is off-grid (dt={self.dt})")
         return i
 
 

@@ -70,6 +70,17 @@ class TestManifest:
         write_manifest(p, "simulate", {"a": 1, "b": 2})
         assert p.read_text() == text
 
+    def test_simulate_manifest_text(self, tmp_path):
+        # schema 2: every simulate run draws stream 0, so no key names it
+        assert run("simulate", "--process", "fbm", "--H", "0.7",
+                   "--grid", "0:1:11", "--paths", "3", "--seed", "1",
+                   "--workers", "1", "--out", str(tmp_path)) == 0
+        assert (tmp_path / "manifest.txt").read_text() == (
+            "[manifest]\nschema = 2\nversion = 0.1.0\ncommand = simulate\n"
+            "H = 0.7\ngrid = 0:1:11\noutput = ensemble.csv\npaths = 3\n"
+            "process = fbm\nseed = 1\nsubsteps = 4\ntail_tol = 0.001\n"
+            "workers = any (results worker-independent)\n")
+
 
 class TestSimulate:
     def test_fbm_roundtrip(self, tmp_path):
@@ -386,8 +397,6 @@ class TestSimulate:
         ("fbm", "--grid", "0:1:2.5", "t_min:t_max:n_points"),
         ("fbm", "--grid", "a:1:10", "t_min:t_max:n_points"),
         ("fbm", "--seed", "-1", "--seed: must be a non-negative integer"),
-        ("rosenblatt", "--stream", "-2",
-         "--stream: must be a non-negative integer"),
     ])
     def test_bad_value_is_usage_error_with_a_clear_message(
             self, tmp_path, capsys, monkeypatch, process, flag, value, word):

@@ -293,8 +293,8 @@ REFUSALS = [
     ("GridSpec t_min", lambda x: GridSpec(x, 1.0, 11), 0.0, NUMBER),
     ("GridSpec t_max", lambda x: GridSpec(0.0, x, 11), 1.0, NUMBER),
     ("GridSpec n_points", lambda x: GridSpec(0.0, 1.0, x), 11, COUNT + (1,)),
-    ("GridSpec.index_of t", GRID.index_of, 0.5, NUMBER),
-    ("Ensemble.at t", PATHS.at, 0.0, NUMBER),
+    ("GridSpec.index_of t", GRID.index_of, 0.5, NUMBER + (-0.5, 1.5)),
+    ("Ensemble.at t", PATHS.at, 0.0, NUMBER + (-1.5, 1.5)),
     ("simulate_fbm H", lambda x: simulate_fbm(GRID, x, 2, 0), 0.7, HURST),
     ("simulate_fbm n_paths", lambda x: simulate_fbm(GRID, 0.7, x, 0), 2,
      COUNT),
@@ -379,6 +379,9 @@ REFUSALS = [
      NUMBER),
     ("StepFunction value", lambda x: StepFunction([0.0, 1.0], [x]), 1.0,
      NUMBER),
+    ("StepFunction values",
+     lambda x: StepFunction([0.0, 1.0, 2.0], x), [[1.0], [2.0]],
+     ([1.0], [1.0, 2.0])),  # one value, or one flat row, for two intervals
     ("definite_integral s", lambda x: definite_integral(np.exp, x, 1.0, PATHS),
      0.0, NUMBER),
     ("definite_integral t", lambda x: definite_integral(np.exp, 0.0, x, PATHS),
@@ -404,6 +407,9 @@ REFUSALS = [
     ("NoiseSpec H", lambda x: NoiseSpec(("fbm",), x), 0.7, HURST),
     ("EquationSpec lambdas",
      lambda x: EquationSpec([x], [[1.0]], ONE_MODE.noise), 1.0, NUMBER),
+    ("EquationSpec lambdas shape",
+     lambda x: EquationSpec(x, [[1.0], [1.0]], ONE_MODE.noise), [1.0, 1.0],
+     ([[1.0, 1.0], [1.0, 1.0]], [[1.0], [1.0]])),
     ("EquationSpec phi_matrix",
      lambda x: EquationSpec([1.0], [[x]], ONE_MODE.noise), 1.0, NUMBER),
     ("EquationSpec x0",

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from volterrasim import evolution, suites
+from volterrasim.blas import one_blas_thread
 from volterrasim.errors import ConfigError, QuadratureError
 from volterrasim.evolution import (
     EquationSpec,
@@ -367,9 +368,21 @@ class TestSolveMild:
             assert abs(x.var() - q_inf) <= 4.0 * se + 0.02
 
 
+def cpu_flag(name):
+    """Whether /proc/cpuinfo lists the CPU feature name; False where it
+    cannot be read."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return name in fh.read().split()
+    except OSError:
+        return False
+
+
+@one_blas_thread()
 def reference_convolution(spec, times, grid, n_paths, seed):
     """_convolve_noise by its first formula: np.diff of every component's
-    simulate, then sums with n outer and k inner."""
+    simulate, then sums with n outer and k inner.  Its GEMMs run at one
+    BLAS thread, as _convolve_noise's do."""
     deltas = [np.diff(simulate(fam, grid, spec.noise.H, n_paths, seed, k, 0,
                                evolution.TAIL_TOL, evolution.SUBSTEPS).values,
                       axis=0)
@@ -406,6 +419,22 @@ class TestStreamedConvolution:
             decay = np.exp(-np.outer(grid.times, mixed_spec().lambdas))
             ref += (decay * np.array(x0)[None, :])[:, :, None]
         assert sol.values.tobytes() == ref.tobytes()
+
+    @pytest.mark.skipif(not cpu_flag("avx2"),
+                        reason="OpenBLAS's Haswell kernels need AVX2")
+    def test_solve_mild_bytes_under_haswell_blas_kernels(self):
+        # OpenBLAS picks its GEMM kernels by CPU; under Haswell's, a
+        # reference run at two threads rounded otherwise than the solver at
+        # one.  The setting acts only on the child process.
+        test = (f"{os.path.abspath(__file__)}::TestStreamedConvolution::"
+                "test_solve_mild_bytes[x-infinity]")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                              "-p", "no:cacheprovider", test], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stdout
 
     def test_grid_without_zero(self):
         # simulate() samples on the grid continued to t = 0 and cuts it back

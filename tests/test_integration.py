@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from volterrasim import integration
-from volterrasim.errors import AlignmentError, ConsistencyError, \
+from volterrasim.errors import ConfigError, ConsistencyError, \
     QuadratureError, check_estimate
 from volterrasim.integration import (
     _GL_NODES,
@@ -43,11 +43,11 @@ class TestStepFunction:
         assert f.dim == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             StepFunction([1.0, 0.0], [[1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="one value per interval"):
             StepFunction([0.0, 1.0, 2.0], [[1.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             StepFunction([0.0, 1.0], [[np.inf]])
 
 
@@ -278,7 +278,7 @@ class TestPathwiseIntegral:
 
     def test_off_grid_breakpoint_rejected(self, fbm_ensemble):
         f = StepFunction([0.0, 1.0 + 0.6 * fbm_ensemble.grid.dt], [[1.0]])
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ConfigError, match="off-grid"):
             integrate_step(f, fbm_ensemble)
 
     def test_definite_integral_linearity(self, fbm_ensemble):

@@ -8,8 +8,8 @@ from scipy import fft, stats
 
 from volterrasim import processes
 from volterrasim.diagnostics import energy_two_sample
-from volterrasim.errors import AlignmentError, ConfigError, \
-    FactorizationError, QuadratureError
+from volterrasim.errors import ConfigError, FactorizationError, \
+    QuadratureError
 from volterrasim.kernels import fbm_cov
 from volterrasim.processes import (
     CumulantSpec,
@@ -51,7 +51,7 @@ class TestGridSpec:
 
     def test_off_grid_rejected(self):
         g = GridSpec(0.0, 1.0, 11)
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ConfigError, match="off-grid"):
             g.index_of(1.2)
 
     def test_validation(self):
